@@ -105,6 +105,8 @@ class AdTechWorld:
         #: (partner code, downstream domain, uid) completed syncs.
         self._downstream_done: Set[Tuple[str, str, str]] = set()
         self._profiles: Dict[str, PersonaState] = {}
+        #: slot id -> its bidders; bounded by the world's ad slots.
+        self._slot_bidders: Dict[str, Tuple[Bidder, ...]] = {}
         #: Observability sink; the experiment runner swaps in its
         #: collector so exchange counters land in the campaign trace.
         self.obs = NULL_OBS
@@ -207,10 +209,14 @@ class AdTechWorld:
     # Slot topology
     # ------------------------------------------------------------------ #
 
-    def bidders_for_slot(self, slot_id: str) -> List[Bidder]:
-        """The stable demand-partner subset for one ad slot."""
-        rng = self._seed.rng("adtech", "slot-bidders", slot_id)
-        return rng.sample(self.bidders, BIDDERS_PER_SLOT)
+    def bidders_for_slot(self, slot_id: str) -> Tuple[Bidder, ...]:
+        """The stable demand-partner subset for one ad slot, drawn once."""
+        bidders = self._slot_bidders.get(slot_id)
+        if bidders is None:
+            rng = self._seed.rng("adtech", "slot-bidders", slot_id)
+            bidders = tuple(rng.sample(self.bidders, BIDDERS_PER_SLOT))
+            self._slot_bidders[slot_id] = bidders
+        return bidders
 
     def slot_loads(self, slot_id: str, persona: str) -> bool:
         """Whether this slot renders for this persona (stable per pair)."""

@@ -112,16 +112,18 @@ class PrebidSession:
             if not self.adtech.slot_loads(unit, persona):
                 continue
             responses: List[BidResponse] = []
+            # One query per ad unit, encoded once and shared by its bidders.
+            pairs = (
+                ("slot", unit),
+                ("page", self.site.domain),
+                ("iteration", str(self.iteration)),
+                ("when", when),
+            )
+            query = urlencode(pairs)
             for bidder in self.adtech.bidders_for_slot(unit):
-                query = urlencode(
-                    {
-                        "slot": unit,
-                        "page": self.site.domain,
-                        "iteration": self.iteration,
-                        "when": when,
-                    }
+                reply = self.browser.get(
+                    HttpRequest.from_parts("GET", "https", bidder.domain, "/bid", pairs, query)
                 )
-                reply = self.browser.get(f"https://{bidder.domain}/bid?{query}")
                 if not reply.ok:
                     continue
                 responses.append(

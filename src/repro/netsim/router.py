@@ -168,7 +168,7 @@ class Router:
         encrypted = request.is_https
         src_port = 49152 + self._ids.count("ephemeral-port") % 16000
         self._ids.next("ephemeral-port")
-        request_payload = None if encrypted else request.to_payload()
+        request_payload = request.to_payload()
         self._emit(
             Packet(
                 timestamp=self.clock.now,
@@ -177,11 +177,11 @@ class Router:
                 src_port=src_port,
                 dst_port=endpoint.port,
                 protocol=Protocol.TLS if encrypted else Protocol.HTTP,
-                size=estimate_size(request.to_payload()),
+                size=estimate_size(request_payload),
                 direction=Direction.OUTBOUND,
                 device_id=device_id,
-                sni=request.host if encrypted else None,
-                payload=request_payload,
+                sni=host if encrypted else None,
+                payload=None if encrypted else request_payload,
             )
         )
 
@@ -208,7 +208,7 @@ class Router:
         else:
             response = handler(request)
 
-        response_payload = None if encrypted else response.to_payload()
+        response_payload = response.to_payload()
         self._emit(
             Packet(
                 timestamp=self.clock.now,
@@ -217,11 +217,11 @@ class Router:
                 src_port=endpoint.port,
                 dst_port=src_port,
                 protocol=Protocol.TLS if encrypted else Protocol.HTTP,
-                size=estimate_size(response.to_payload()),
+                size=estimate_size(response_payload),
                 direction=Direction.INBOUND,
                 device_id=device_id,
-                sni=request.host if encrypted else None,
-                payload=response_payload,
+                sni=host if encrypted else None,
+                payload=None if encrypted else response_payload,
             )
         )
         return response

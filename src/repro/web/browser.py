@@ -13,7 +13,7 @@ paper); the web universe is its own dispatch table of domain handlers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Union
 
 from repro.alexa.account import AmazonAccount
 from repro.netsim.endpoints import registrable_domain
@@ -126,22 +126,25 @@ class Browser:
         self.obs = obs
         self.request_log: List[LoggedRequest] = []
 
-    def get(self, url: str) -> HttpResponse:
-        """GET a URL, following redirects and recording every hop."""
-        return self._fetch(url, chain_root=url, depth=0)
+    def get(self, target: Union[str, HttpRequest]) -> HttpResponse:
+        """GET a URL, or send a request built with
+        :meth:`HttpRequest.from_parts`, following redirects and recording
+        every hop."""
+        request = target if isinstance(target, HttpRequest) else HttpRequest("GET", target)
+        return self._fetch(request, chain_root=request.url, depth=0)
 
-    def _fetch(self, url: str, chain_root: str, depth: int) -> HttpResponse:
+    def _fetch(self, request: HttpRequest, chain_root: str, depth: int) -> HttpResponse:
         if depth > MAX_REDIRECTS:
             raise RuntimeError(f"redirect loop fetching {chain_root}")
-        request = HttpRequest("GET", url, cookies=self._cookies_for(url))
+        request = request.with_cookies(self._cookies_for(request.host))
         response = self._dispatch(request)
         for name, value in response.set_cookies.items():
             self.profile.jar.set(request.host, name, value)
         self.request_log.append(
             LoggedRequest(
                 timestamp=self.clock.now,
-                url=url,
-                method="GET",
+                url=request.url,
+                method=request.method,
                 cookies_sent=request.cookies,
                 status=response.status,
                 set_cookies=response.set_cookies,
@@ -151,7 +154,7 @@ class Browser:
         )
         self.clock.advance(0.02)
         if response.redirect_url is not None:
-            return self._fetch(response.redirect_url, chain_root, depth + 1)
+            return self._fetch(HttpRequest("GET", response.redirect_url), chain_root, depth + 1)
         return response
 
     def _dispatch(self, request: HttpRequest) -> HttpResponse:
@@ -192,8 +195,7 @@ class Browser:
                 body={"error": f"unreachable: {request.host}"},
             )
 
-    def _cookies_for(self, url: str) -> Dict[str, str]:
-        host = HttpRequest("GET", url).host
+    def _cookies_for(self, host: str) -> Dict[str, str]:
         cookies = self.profile.jar.get(host)
         if not cookies:
             # First visit to this party: mint its first-party cookie, the
