@@ -27,6 +27,14 @@ __all__ = [
 ]
 
 _SYNC_PATHS = re.compile(r"/(cm|setuid|match|x/cm|usersync|pixel)(/|$|\?)")
+#: A necessary condition of ``_SYNC_PATHS`` on the raw URL, so most URLs
+#: are never parsed.  The parsed path is a substring of the URL once
+#: ``urlparse`` drops TAB/CR/LF, so those may sit between any two
+#: characters; ``x/cm`` contains ``/cm``.
+_GAP = r"[\t\r\n]*"
+_SYNC_CANDIDATE = re.compile(
+    "/" + _GAP + "(?:" + "|".join(map(_GAP.join, ("cm", "setuid", "match", "usersync", "pixel"))) + ")"
+)
 _ID_PARAMS = ("uid", "user_id", "puid", "external_id", "buyeruid")
 
 
@@ -152,6 +160,8 @@ def _parse_syncs(request: LoggedRequest, persona: str) -> List[SyncEvent]:
     identifiers on one call); a plain ``dict(parse_qsl(...))`` would keep
     only the last value per key, silently missing the others.
     """
+    if not _SYNC_CANDIDATE.search(request.url):
+        return []
     parsed = urlparse(request.url)
     if not _SYNC_PATHS.search(parsed.path):
         return []

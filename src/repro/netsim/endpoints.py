@@ -47,6 +47,10 @@ class Endpoint:
         if not self.domain or "." not in self.domain:
             raise ValueError(f"invalid domain: {self.domain!r}")
         ipaddress.ip_address(self.ip)  # raises on malformed input
+        # Packet's port range, checked here because packets are built
+        # only inside capture windows.
+        if not 0 <= self.port <= 65535:
+            raise ValueError(f"port out of range: {self.port}")
 
     @property
     def base_domain(self) -> str:

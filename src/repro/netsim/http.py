@@ -8,6 +8,7 @@ message or only ciphertext metadata is decided by the vantage point
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import InitVar, dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 from urllib.parse import parse_qsl, urlencode, urlparse
@@ -15,6 +16,9 @@ from urllib.parse import parse_qsl, urlencode, urlparse
 __all__ = ["HttpRequest", "HttpResponse", "estimate_size"]
 
 QueryPairs = Tuple[Tuple[str, str], ...]
+
+#: Exact types :func:`estimate_size` knows are not mappings without an ABC check.
+_NON_MAPPING_TYPES = frozenset({int, float, bool, type(None), list, tuple})
 
 
 @dataclass(frozen=True)
@@ -162,17 +166,28 @@ class HttpResponse:
 
 
 def estimate_size(payload: Mapping[str, Any]) -> int:
-    """Rough wire size (bytes) of a parsed message, for flow statistics."""
+    """Rough wire size (bytes) of a parsed message, for flow statistics.
 
-    def measure(value: Any) -> int:
+    Walks the payload iteratively; exact types are dispatched before the
+    far costlier ABC ``isinstance``, which only unusual types reach.
+    """
+    total = 64  # ≈ framing overhead
+    stack = [payload]
+    while stack:
+        value = stack.pop()
         kind = type(value)
         if kind is str:
-            return len(value)
-        # Exact-type checks first: an ABC isinstance costs far more.
-        if kind is dict or isinstance(value, Mapping):
-            return sum(len(str(k)) + measure(v) + 4 for k, v in value.items())
-        if isinstance(value, (list, tuple)):
-            return sum(measure(v) + 2 for v in value)
-        return len(str(value))
-
-    return 64 + measure(payload)  # 64 ≈ framing overhead
+            total += len(value)
+        elif kind is dict or (kind not in _NON_MAPPING_TYPES and isinstance(value, abc.Mapping)):
+            for key, item in value.items():
+                total += (len(key) if type(key) is str else len(str(key))) + 4
+                if type(item) is str:
+                    total += len(item)
+                else:
+                    stack.append(item)
+        elif isinstance(value, (list, tuple)):
+            total += 2 * len(value)
+            stack.extend(value)
+        else:
+            total += len(str(value))
+    return total

@@ -3,8 +3,9 @@
 The paper's methodology brackets each skill's lifecycle with
 ``tcpdump`` enable/disable on the RPi router so traffic can be attributed
 cleanly per skill (§3.2).  :class:`CaptureSession` reproduces that: while a
-session is active on the router, every packet the router forwards is
-appended to it.
+session is active on the router, every packet of a device it
+:meth:`~CaptureSession.accepts` is appended to it.  A packet exists only
+inside such a window — the router builds none that no session records.
 
 Capture is the hot path of the whole pipeline, so a session does its
 grouping *as packets arrive*: every observed packet is routed into an
@@ -51,11 +52,13 @@ class CaptureSession:
         default=None, repr=False, compare=False
     )
 
+    def accepts(self, device_id: str) -> bool:
+        """Whether the session records ``device_id``'s traffic: active, filter matches."""
+        return self.active and (self.device_filter is None or self.device_filter == device_id)
+
     def observe(self, packet: Packet) -> None:
-        """Record a packet if the session is active and the filter matches."""
-        if not self.active:
-            return
-        if self.device_filter is not None and packet.device_id != self.device_filter:
+        """Record a packet if the session :meth:`accepts` its device."""
+        if not self.accepts(packet.device_id):
             return
         self.packets.append(packet)
         self._table.add(packet)

@@ -6,9 +6,14 @@ vantage point sits.  The router:
 * assigns each attached device a unique LAN IP (one persona per IP, §3.1);
 * answers DNS from the endpoint registry, emitting cleartext DNS packets;
 * forwards HTTP(S) requests to registered service handlers and emits
-  request/response packets into every active capture session — with the
-  payload stripped when the transport is TLS, since the router cannot
-  decrypt it.
+  request/response packets — with the payload stripped when the
+  transport is TLS, since the router cannot decrypt it.
+
+Like tcpdump on the paper's RPi, the router records only inside capture
+windows: a packet is built, sized and handed to exactly the sessions
+that :meth:`~repro.netsim.pcap.CaptureSession.accepts` its device, and
+is never built when none does.  :attr:`Router.packets_forwarded` still
+counts every packet put on the wire.
 
 Services (the Alexa cloud, skill backends, ad servers, websites) register a
 handler per domain.  This keeps the "Internet" a single dispatch table
@@ -17,7 +22,7 @@ while letting every subsystem implement arbitrarily rich behaviour.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.netsim.dns import DNS_PORT, DnsServer
 from repro.netsim.endpoints import Endpoint, EndpointRegistry
@@ -124,10 +129,13 @@ class Router:
         self.obs.inc("flows.sealed", len(session.flows()))
         return session
 
-    def _emit(self, packet: Packet) -> None:
-        self.packets_forwarded += 1
-        for session in self._captures:
-            session.observe(packet)
+    def _recorders(self, device_id: str, packets: int) -> List[CaptureSession]:
+        """Put ``packets`` on the wire; return the sessions that record them.
+
+        Callers build the packets only when the list is non-empty.
+        """
+        self.packets_forwarded += packets
+        return [s for s in self._captures if s.accepts(device_id)]
 
     # ------------------------------------------------------------------ #
     # Forwarding
@@ -165,25 +173,11 @@ class Router:
             self.clock.advance(CONNECT_FAILURE_SECONDS)
             raise NetworkError(f"connection refused: no service at {host}")
 
-        encrypted = request.is_https
+        sni = host if request.is_https else None
         src_port = 49152 + self._ids.count("ephemeral-port") % 16000
         self._ids.next("ephemeral-port")
-        request_payload = request.to_payload()
-        self._emit(
-            Packet(
-                timestamp=self.clock.now,
-                src_ip=device_ip,
-                dst_ip=endpoint.ip,
-                src_port=src_port,
-                dst_port=endpoint.port,
-                protocol=Protocol.TLS if encrypted else Protocol.HTTP,
-                size=estimate_size(request_payload),
-                direction=Direction.OUTBOUND,
-                device_id=device_id,
-                sni=host if encrypted else None,
-                payload=None if encrypted else request_payload,
-            )
-        )
+        device_end, remote_end = (device_ip, src_port), (endpoint.ip, endpoint.port)
+        self._emit_http(device_id, request, sni, device_end, remote_end, Direction.OUTBOUND)
 
         if decision is not None and decision.kind == "timeout":
             # The request left the device (the packet above is on the
@@ -208,23 +202,33 @@ class Router:
         else:
             response = handler(request)
 
-        response_payload = response.to_payload()
-        self._emit(
-            Packet(
-                timestamp=self.clock.now,
-                src_ip=endpoint.ip,
-                dst_ip=device_ip,
-                src_port=endpoint.port,
-                dst_port=src_port,
-                protocol=Protocol.TLS if encrypted else Protocol.HTTP,
-                size=estimate_size(response_payload),
-                direction=Direction.INBOUND,
-                device_id=device_id,
-                sni=host if encrypted else None,
-                payload=None if encrypted else response_payload,
-            )
-        )
+        self._emit_http(device_id, response, sni, remote_end, device_end, Direction.INBOUND)
         return response
+
+    def _emit_http(
+        self, device_id: str, message: Union[HttpRequest, HttpResponse], sni: Optional[str],
+        src: Tuple[str, int], dst: Tuple[str, int], direction: Direction,
+    ) -> None:
+        """Emit one HTTP packet, or a TLS one (payload hidden) when ``sni`` is set."""
+        sessions = self._recorders(device_id, 1)
+        if not sessions:
+            return
+        payload = message.to_payload()
+        packet = Packet(
+            timestamp=self.clock.now,
+            src_ip=src[0],
+            dst_ip=dst[0],
+            src_port=src[1],
+            dst_port=dst[1],
+            protocol=Protocol.HTTP if sni is None else Protocol.TLS,
+            size=estimate_size(payload),
+            direction=direction,
+            device_id=device_id,
+            sni=sni,
+            payload=payload if sni is None else None,
+        )
+        for session in sessions:
+            session.observe(packet)
 
     def dns_blackhole(self, device_id: str, host: str) -> None:
         """Emit the DNS exchange a PiHole-style blocker produces.
@@ -269,6 +273,9 @@ class Router:
         self, device_id: str, device_ip: str, host: str, answers: List[dict]
     ) -> None:
         """Emit one DNS query/response packet pair (empty answers ≈ NXDOMAIN)."""
+        sessions = self._recorders(device_id, 2)
+        if not sessions:
+            return
         dns_server_ip = f"{self.LAN_PREFIX}1"
         query_payload = {"kind": "dns-query", "domain": host}
         response_payload = {"kind": "dns-response", "answers": answers}
@@ -277,27 +284,26 @@ class Router:
             protocol=Protocol.DNS,
             device_id=device_id,
         )
-        self._emit(
-            Packet(
-                src_ip=device_ip,
-                dst_ip=dns_server_ip,
-                src_port=5353,
-                dst_port=DNS_PORT,
-                size=estimate_size(query_payload),
-                direction=Direction.OUTBOUND,
-                payload=query_payload,
-                **common,
-            )
+        query = Packet(
+            src_ip=device_ip,
+            dst_ip=dns_server_ip,
+            src_port=5353,
+            dst_port=DNS_PORT,
+            size=estimate_size(query_payload),
+            direction=Direction.OUTBOUND,
+            payload=query_payload,
+            **common,
         )
-        self._emit(
-            Packet(
-                src_ip=dns_server_ip,
-                dst_ip=device_ip,
-                src_port=DNS_PORT,
-                dst_port=5353,
-                size=estimate_size(response_payload),
-                direction=Direction.INBOUND,
-                payload=response_payload,
-                **common,
-            )
+        answer = Packet(
+            src_ip=dns_server_ip,
+            dst_ip=device_ip,
+            src_port=DNS_PORT,
+            dst_port=5353,
+            size=estimate_size(response_payload),
+            direction=Direction.INBOUND,
+            payload=response_payload,
+            **common,
         )
+        for session in sessions:
+            session.observe(query)
+            session.observe(answer)

@@ -1,7 +1,9 @@
 """The canonical campaigns whose export digests are pinned in ``digests.json``.
 
 Each case is a ``repro`` command line that writes the seven
-:data:`~repro.core.export.EXPORT_FILES`.  ``test_golden_exports.py``
+:data:`~repro.core.export.EXPORT_FILES`, either into the output
+directory itself (``run``) or into one ``epoch-*/`` directory per epoch
+beside the delta reports (``timeline run``).  ``test_golden_exports.py``
 re-runs every case and compares sha256 digests; only
 ``python tests/golden/update.py`` rewrites the committed file.
 """
@@ -29,12 +31,19 @@ CASES: Dict[str, List[str]] = {
     "interact-faulted-seed42": [
         "run", "--spec", str(SPECS_DIR / "interact-faulted.json"),
     ],
+    # `timeline generate --small --seed 42 --epochs 2`: segment store,
+    # incremental reuse of the unchanged personas in the second epoch.
+    "timeline-2epoch-seed42": [
+        "timeline", "run", "--spec", str(SPECS_DIR / "timeline-2epoch.json"),
+    ],
 }
 
 
 def run_case(name: str, out: Path) -> Dict[str, str]:
-    """Run one case into ``out`` and return ``{file name: sha256}``.
+    """Run one case into ``out`` and return ``{relative path: sha256}``.
 
+    Top-level files and those of ``epoch-*/`` directories are digested;
+    the timeline's ``_segments/`` store is an implementation detail.
     The CLI runs in a child interpreter, exactly as typed at a shell, so
     its logging set-up cannot leak into the calling process.
     """
@@ -44,9 +53,10 @@ def run_case(name: str, out: Path) -> Dict[str, str]:
     done = subprocess.run(command, env=env, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"golden case {name} exited with {done.returncode}:\n{done.stderr}")
+    files = [*out.glob("*"), *out.glob("epoch-*/*")]
     return {
-        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(out.iterdir())
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(files)
         if path.is_file()
     }
 

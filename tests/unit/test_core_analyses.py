@@ -1,6 +1,8 @@
 """Tests for the core analysis modules on a small but complete campaign."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.adcontent import (
     analyze_audio_ads,
@@ -168,6 +170,65 @@ class TestSyncDetection:
         events = _parse_syncs(request, "p1")
         assert [e.uid for e in events] == ["alpha", "beta"]
         assert all(e.source == "dsp" for e in events)
+
+
+URL_PIECES = [
+    "/", "//", "cm", "x/cm", "setuid", "match", "usersync", "pixel", "c", "m",
+    "set", "uid", ";p=1", "?", "#", "\t", "\r", "\n", " ", "a=b&", "%2F",
+]
+
+
+class TestSyncCandidatePrefilter:
+    """The raw-URL pre-test must never reject a URL whose parsed path syncs."""
+
+    @staticmethod
+    def _implies(url):
+        from urllib.parse import urlparse
+
+        from repro.core.syncing import _SYNC_CANDIDATE, _SYNC_PATHS
+
+        if _SYNC_PATHS.search(urlparse(url).path):
+            assert _SYNC_CANDIDATE.search(url), url
+
+    @pytest.mark.parametrize(
+        "url",
+        [
+            "https://s.example.com/cm?uid=1",
+            "https://s.example.com/x/cm/?uid=1",
+            "https://s.example.com/usersync;type=img?uid=1",
+            "https://s.example.com/match#frag",
+            "https://s.example.com/se\ttuid?uid=1",
+            "https://s.example.com/\npix\rel/",
+            "https://s.example.com/c\r\nm",
+            "\t https://s.example.com/setuid",
+            "/pixel",
+            "//s.example.com/cm",
+        ],
+    )
+    def test_sync_paths_pass(self, url):
+        from repro.core.syncing import _SYNC_CANDIDATE
+
+        assert _SYNC_CANDIDATE.search(url)
+        self._implies(url)
+
+    @given(
+        st.sampled_from(["https://s.example.com", "http://h", "", "//h", "h:", "\t"]),
+        st.lists(st.sampled_from(URL_PIECES), max_size=12).map("".join),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_candidate_is_necessary(self, prefix, rest):
+        self._implies(prefix + rest)
+
+    def test_prefiltered_parse_keeps_stripped_sync(self):
+        from repro.core.syncing import _parse_syncs
+        from repro.web.browser import LoggedRequest
+
+        url = "https://sync.example.com/set\tuid?partner=dsp&uid=alpha"
+        request = LoggedRequest(
+            timestamp=0.0, url=url, method="GET", cookies_sent={}, status=200,
+            set_cookies={}, redirect_to=None, chain_root="https://pub.example.com/",
+        )
+        assert [e.uid for e in _parse_syncs(request, "p1")] == ["alpha"]
 
 
 class TestTrafficAnalysis:
