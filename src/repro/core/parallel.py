@@ -64,6 +64,7 @@ poison-result decisions drawn per ``(shard, attempt)`` from
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import shutil
@@ -602,7 +603,19 @@ def _process_worker(
     fault_plan: Optional[WorkerFaultPlan],
     shard_fn,
 ) -> None:
-    """Process-backend worker body (module-level so it pickles)."""
+    """Process-backend worker body (module-level so it pickles).
+
+    The first thing it does is ``gc.freeze()``: a forked child inherits
+    the parent's whole heap, and without the freeze every collection in
+    the child (``run_segment_shard`` collects after each batch) walks
+    all of it again.  Freezing moves the inherited objects to the
+    permanent generation, so collections see only what the shard
+    allocates, and the untouched pages stay shared with the parent
+    (the ``gc`` docs recommend this for fork without exec).  Only
+    process workers freeze; the parent and thread workers share one
+    heap whose garbage must stay collectable.
+    """
+    gc.freeze()
     try:
         decision = (
             fault_plan.decide(shard_index, attempt)

@@ -2,9 +2,14 @@
 
 Implements the Mann-Whitney U test with the tie-corrected normal
 approximation and the rank-biserial effect size the paper reports.
-A from-scratch implementation (cross-checked against SciPy in the test
-suite) keeps the math auditable; SciPy's exact method is used for tiny
-samples where the normal approximation is poor.
+A from-scratch implementation keeps the math auditable.  Tiny untied
+samples, where the normal approximation is poor, use the exact null
+distribution, a port of SciPy's ``mannwhitneyu(method="exact")``.  The
+test suite checks both branches against SciPy bit for bit.
+
+Only ``scipy.special`` is needed (``ndtr`` and ``binom``), and it is
+imported on the first test, not with this module: ``scipy.stats`` pulls
+in hundreds of modules that no ``repro`` code path uses.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 __all__ = [
     "MannWhitneyResult",
@@ -89,9 +93,7 @@ def mann_whitney_u(
     u1 = r1 - n1 * (n1 + 1) / 2.0  # U for the treatment sample
 
     if min(n1, n2) < 8 and tie_term == 0:
-        # Tiny samples: defer to SciPy's exact distribution.
-        res = _scipy_stats.mannwhitneyu(x, y, alternative=alternative, method="exact")
-        p_value = float(res.pvalue)
+        p_value = _exact_p_value(u1, n1, n2, alternative)
     else:
         mean_u = n1 * n2 / 2.0
         n = n1 + n2
@@ -99,13 +101,17 @@ def mann_whitney_u(
         if variance <= 0:
             p_value = 1.0
         else:
+            from scipy import special
+
             # Continuity correction, matching scipy's use_continuity.
+            # ``ndtr(-z)`` and ``ndtr(z)`` are exactly what scipy's
+            # ``norm.sf(z)`` and ``norm.cdf(z)`` compute.
             if alternative == "greater":
                 z = (u1 - mean_u - 0.5) / math.sqrt(variance)
-                p_value = float(_scipy_stats.norm.sf(z))
+                p_value = float(special.ndtr(-z))
             elif alternative == "less":
                 z = (u1 - mean_u + 0.5) / math.sqrt(variance)
-                p_value = float(_scipy_stats.norm.cdf(z))
+                p_value = float(special.ndtr(z))
             else:
                 # Correct toward the null by 0.5 on |U - mean|, as scipy
                 # does.  The former ``copysign(0.5, u1 - mean_u)`` form
@@ -116,7 +122,7 @@ def mann_whitney_u(
                 # flipped the sign of z; ``sf`` of the (possibly negative)
                 # corrected statistic handles both regimes like scipy.
                 z = (abs(u1 - mean_u) - 0.5) / math.sqrt(variance)
-                p_value = float(min(1.0, 2.0 * _scipy_stats.norm.sf(z)))
+                p_value = float(min(1.0, 2.0 * special.ndtr(-z)))
 
     return MannWhitneyResult(
         u_statistic=u1,
@@ -126,6 +132,69 @@ def mann_whitney_u(
         n_control=n2,
         alternative=alternative,
     )
+
+
+def _exact_p_value(u1: float, n1: int, n2: int, alternative: str) -> float:
+    """P-value of ``u1`` under the exact null distribution of U.
+
+    Ported from SciPy's ``scipy/stats/_mannwhitneyu.py`` (``_MWU`` and
+    the exact branch of ``mannwhitneyu``; BSD-3-Clause, Copyright (c)
+    2001-2002 Enthought, Inc. 2003, SciPy Developers).  It keeps the
+    same numpy operations in the same order, so p-values match SciPy
+    bit for bit.  SciPy caches the frequency table per thread; every
+    entry depends only on earlier ones, so a fresh table is the same.
+    """
+    m, n = min(n1, n2), max(n1, n2)
+    u2 = n1 * n2 - u1
+    if alternative == "greater":
+        u, factor = u1, 1
+    elif alternative == "less":
+        u, factor = u2, 1  # symmetry: SF of U2 rather than CDF of U1
+    else:
+        u, factor = max(u1, u2), 2
+    k = int(u)
+
+    # Symmetric survival function, summed from the left; both the CDF
+    # and the SF include the mass at k.
+    kc = m * n - k
+    if k < kc:
+        pmfs = _u_frequencies(m, n, k)
+        p = 1.0 - np.cumsum(pmfs)[k] + pmfs[k]
+    else:
+        p = np.cumsum(_u_frequencies(m, n, kc))[kc]
+    # At U == m*n/2 the two-sided p can exceed 1.
+    return float(np.clip(p * factor, 0.0, 1.0))
+
+
+def _u_frequencies(m: int, n: int, maxu: int) -> np.ndarray:
+    """Null probabilities of U = 0..maxu for sample sizes ``m <= n``."""
+    from scipy import special
+
+    total = special.binom(m + n, m)
+
+    # Sigma array: sum of the divisors d of u with d <= m, minus those
+    # with n < d <= m + n (index 0 unused).
+    s_array = np.zeros(maxu + 1, dtype=int)
+    for d in np.arange(1, m + 1):
+        s_array[np.arange(d, maxu + 1, d)] += d
+    for d in np.arange(n + 1, n + m + 1):
+        s_array[np.arange(d, maxu + 1, d)] -= d
+    s_array = s_array[1:]
+
+    # Count configurations in uint64 for precision; switch to floats
+    # only once a count outgrows it.
+    configurations = np.zeros(maxu + 1, dtype=np.uint64)
+    configurations_is_uint = True
+    uint_max = np.iinfo(np.uint64).max
+    configurations[0] = 1
+    for u in np.arange(1, maxu + 1):
+        coeffs = s_array[u - 1 :: -1]
+        new_val = np.dot(configurations[:u], coeffs) / u
+        if new_val > uint_max and configurations_is_uint:
+            configurations = configurations.astype(float)
+            configurations_is_uint = False
+        configurations[u] = new_val
+    return configurations / total
 
 
 def rank_biserial(u_treatment: float, n1: int, n2: int) -> float:

@@ -10,17 +10,18 @@ from pathlib import PurePosixPath
 
 import pytest
 
-from golden_exports import CASES, load_digests, run_case
+from golden_exports import CASES, load_digests
 
 from repro.core.export import EXPORT_FILES
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_export_digests_match_golden(name, tmp_path):
+def test_export_digests_match_golden(name, golden_run):
     expected = load_digests()[name]
     exports = [path for path in expected if not path.startswith("delta-")]
     by_dir = {}
     for path in map(PurePosixPath, exports):
         by_dir.setdefault(str(path.parent), []).append(path.name)
     assert by_dir and all(sorted(names) == sorted(EXPORT_FILES) for names in by_dir.values())
-    assert run_case(name, tmp_path / "out") == expected
+    _, digests = golden_run(name)
+    assert digests == expected

@@ -1,8 +1,14 @@
-"""Tests for the statistics module, cross-checked against SciPy."""
+"""Tests for the statistics module, cross-checked against SciPy.
+
+``repro`` computes both p-value branches without ``scipy.stats``; here
+SciPy stays the oracle, and both branches must match it bit for bit.
+"""
+
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
@@ -52,7 +58,7 @@ class TestMannWhitney:
         y = [1.0, 2.0]
         ours = mann_whitney_u(x, y, alternative="greater")
         theirs = scipy_stats.mannwhitneyu(x, y, alternative="greater", method="exact")
-        assert ours.p_value == pytest.approx(theirs.pvalue)
+        assert ours.p_value == theirs.pvalue
 
     def test_clear_dominance_significant(self):
         x = list(range(100, 140))
@@ -130,6 +136,72 @@ class TestMannWhitneyProperty:
             x, y, alternative=alternative, method="asymptotic"
         )
         assert ours.p_value == pytest.approx(theirs.pvalue, rel=1e-9, abs=1e-12)
+
+
+def _scipy_norm_p_value(u1, n1, n2, tie_term, alternative):
+    """The asymptotic branch as it was written on ``scipy.stats.norm``."""
+    mean_u = n1 * n2 / 2.0
+    n = n1 + n2
+    variance = (n1 * n2 / 12.0) * ((n + 1) - tie_term / (n * (n - 1)))
+    if variance <= 0:
+        return 1.0
+    if alternative == "greater":
+        z = (u1 - mean_u - 0.5) / math.sqrt(variance)
+        return float(scipy_stats.norm.sf(z))
+    if alternative == "less":
+        z = (u1 - mean_u + 0.5) / math.sqrt(variance)
+        return float(scipy_stats.norm.cdf(z))
+    z = (abs(u1 - mean_u) - 0.5) / math.sqrt(variance)
+    return float(min(1.0, 2.0 * scipy_stats.norm.sf(z)))
+
+
+_alternatives = st.sampled_from(["greater", "less", "two-sided"])
+
+
+class TestBitEqualityWithScipy:
+    """Both branches reproduce SciPy's floats exactly, not approximately."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        small=st.integers(min_value=1, max_value=7),
+        large=st.integers(min_value=1, max_value=60),
+        small_first=st.booleans(),
+        alternative=_alternatives,
+    )
+    def test_exact_branch_equals_scipy_exact(
+        self, data, small, large, small_first, alternative
+    ):
+        values = data.draw(
+            st.lists(
+                st.floats(-1e6, 1e6, allow_nan=False),
+                min_size=small + large,
+                max_size=small + large,
+                unique=True,
+            )
+        )
+        n1 = small if small_first else large
+        x, y = values[:n1], values[n1:]
+        ours = mann_whitney_u(x, y, alternative=alternative)
+        theirs = scipy_stats.mannwhitneyu(x, y, alternative=alternative, method="exact")
+        assert ours.p_value == theirs.pvalue
+        assert ours.u_statistic == theirs.statistic
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=st.lists(st.sampled_from([0.5 * k for k in range(12)]), min_size=1, max_size=30),
+        y=st.lists(st.sampled_from([0.5 * k for k in range(12)]), min_size=1, max_size=30),
+        alternative=_alternatives,
+    )
+    def test_asymptotic_branch_equals_norm_formula(self, x, y, alternative):
+        _, counts = np.unique(x + y, return_counts=True)
+        tie_term = float(sum(int(c) ** 3 - int(c) for c in counts if c > 1))
+        assume(min(len(x), len(y)) >= 8 or tie_term > 0)
+        ours = mann_whitney_u(x, y, alternative=alternative)
+        expected = _scipy_norm_p_value(
+            ours.u_statistic, len(x), len(y), tie_term, alternative
+        )
+        assert ours.p_value == expected
 
 
 class TestRankBiserial:
