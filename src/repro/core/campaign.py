@@ -758,6 +758,11 @@ def run_segment_positions(
     are skipped either way; the caller owns the manifest.  Returns the
     persona names a degraded parallel run dropped (empty on success —
     the serial path either completes or raises).
+
+    The seed-only base skill catalog is built at most once per call —
+    only when some position is still uncovered — and shared by every
+    batch's world (each world still applies ``config.catalog_churn``).
+    It lives for this call only: no cache outlives the campaign.
     """
     import functools
     import gc
@@ -768,6 +773,7 @@ def run_segment_positions(
     from repro.core.checkpoint import ShardJournal
     from repro.core.parallel import _ShardSupervisor
     from repro.core.segments import run_segment_shard, write_segment_batch
+    from repro.data.skill_catalog import build_catalog
 
     roster = scaled_roster(config.roster_scale)
     positions = sorted(set(int(pos) for pos in positions))
@@ -777,13 +783,22 @@ def run_segment_positions(
                 f"position {pos} outside roster of {len(roster)}"
             )
 
+    covered = store.covered_positions()
+    pending = [pos for pos in positions if pos not in covered]
+    # Unchurned on purpose: build_world churns each world on top of it.
+    # Built before any worker starts, so forked shards inherit it (and
+    # freeze it with the rest of their heap) and thread shards share it.
+    catalog = build_catalog(seed) if pending else None
+
     if not parallel:
-        covered = store.covered_positions()
-        pending = [pos for pos in positions if pos not in covered]
         for start in range(0, len(pending), batch_personas):
             try:
                 write_segment_batch(
-                    store, seed, config, pending[start : start + batch_personas]
+                    store,
+                    seed,
+                    config,
+                    pending[start : start + batch_personas],
+                    catalog,
                 )
             except OSError as exc:
                 if not is_enospc(exc):
@@ -844,6 +859,7 @@ def run_segment_positions(
                 run_segment_shard,
                 store_root=str(store.root),
                 batch_personas=batch_personas,
+                catalog=catalog,
             ),
         )
         _, report = supervisor.run({})

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import defaultdict
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -44,8 +45,8 @@ from repro.core.stats import mann_whitney_u, summarize
 from repro.core.syncing import (
     SyncAnalysis,
     SyncEvent,
+    classify_sync_event,
     detect_cookie_syncing,
-    fold_sync_events,
 )
 
 __all__ = [
@@ -230,9 +231,13 @@ def export_segment_store(store, out_dir: Union[str, Path]) -> Dict[str, int]:
 
     Produces exactly :data:`EXPORT_FILES`, byte-identical to
     :func:`export_dataset` on the equivalent in-memory dataset.  CSVs
-    are written row by row off the merged streams; the summary is
-    computed by :func:`summarize_segment_store`'s folds.  Memory is
-    bounded by the analysis aggregates, not the roster size.
+    are written row by row off the merged streams.  The summary is one
+    fold (:class:`_SegmentSummaryFold`) with two feeders: here, the
+    generators that write ``bids.csv`` and ``sync_events.csv`` feed it
+    the records they already decoded, so every stored record is decoded
+    once; :func:`summarize_segment_store` feeds the same fold from the
+    streams directly.  Memory is bounded by the analysis aggregates,
+    not the roster size.
     """
     from repro.core.segments import SegmentError
 
@@ -246,16 +251,20 @@ def export_segment_store(store, out_dir: Union[str, Path]) -> Dict[str, int]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     counts: Dict[str, int] = {}
+    summary = _SegmentSummaryFold(store)
 
-    counts["bids.csv"] = _write_csv(
-        out / "bids.csv",
-        _BIDS_HEADER,
-        (
-            (r["persona"], r["iteration"], r["site"], r["slot"], r["bidder"],
-             r["cpm"], r["interacted"])
-            for r in store.iter_stream("bids")
-        ),
-    )
+    def bid_rows():
+        for r in store.iter_stream("bids"):
+            summary.add_bid(r)
+            yield (r["persona"], r["iteration"], r["site"], r["slot"],
+                   r["bidder"], r["cpm"], r["interacted"])
+
+    def sync_rows():
+        for r in store.iter_stream("sync"):
+            summary.add_sync(r)
+            yield (r["persona"], r["source"], r["destination"], r["uid"])
+
+    counts["bids.csv"] = _write_csv(out / "bids.csv", _BIDS_HEADER, bid_rows())
     counts["ads.csv"] = _write_csv(
         out / "ads.csv",
         _ADS_HEADER,
@@ -275,12 +284,7 @@ def export_segment_store(store, out_dir: Union[str, Path]) -> Dict[str, int]:
         ),
     )
     counts["sync_events.csv"] = _write_csv(
-        out / "sync_events.csv",
-        _SYNC_HEADER,
-        (
-            (r["persona"], r["source"], r["destination"], r["uid"])
-            for r in store.iter_stream("sync")
-        ),
+        out / "sync_events.csv", _SYNC_HEADER, sync_rows()
     )
     counts["dsar_interests.csv"] = _write_csv(
         out / "dsar_interests.csv",
@@ -304,7 +308,7 @@ def export_segment_store(store, out_dir: Union[str, Path]) -> Dict[str, int]:
         ),
     )
 
-    _write_summary(out, summarize_segment_store(store))
+    _write_summary(out, summary.finish())
     counts["summary.json"] = 1
     return counts
 
@@ -312,86 +316,108 @@ def export_segment_store(store, out_dir: Union[str, Path]) -> Dict[str, int]:
 def summarize_segment_store(store) -> dict:
     """:func:`export_summary` recomputed as folds over segment streams.
 
-    Several sequential passes (personas, a point read of the vanilla
-    control's bids, bids grouped by roster position, sync, policy),
-    each O(aggregates) in memory — identical output to the in-memory
-    summary because every fold performs the same arithmetic on the same
-    values in the same order.
+    The second feeder of :class:`_SegmentSummaryFold` (the first is
+    :func:`export_segment_store`'s CSV pass): the ``bids`` and ``sync``
+    streams are read here and pushed through the same fold, so the
+    summary arithmetic exists once.
     """
-    # Pass 1: roster metadata + common-slot intersection.
-    kinds: Dict[int, tuple] = {}
-    slot_sets: List[List[str]] = []
-    for record in store.iter_stream("personas"):
-        kinds[record["pos"]] = (record["name"], record["kind"])
-        slot_sets.append(record["loaded_slots"])
-    slots = common_slots_from_sets(slot_sets)
+    summary = _SegmentSummaryFold(store)
+    for record in store.iter_stream("bids"):
+        summary.add_bid(record)
+    for record in store.iter_stream("sync"):
+        summary.add_sync(record)
+    return summary.finish()
 
-    # Point read: the vanilla control's representative sample, needed
-    # before interest personas stream past (vanilla sits after them in
-    # roster order).
-    vanilla_pos = next(
-        (pos for pos, (_, kind) in kinds.items() if kind == "vanilla"), None
-    )
-    vanilla_sample: List[float] = []
-    if vanilla_pos is not None:
-        vanilla_sample = representative_from_rows(
-            store.stream_records_for("bids", vanilla_pos), slots
+
+class _SegmentSummaryFold:
+    """The segment-store summary as one push fold.
+
+    Construction reads the ``personas`` stream (roster kinds and the
+    common-slot intersection) and point-reads the vanilla control's
+    bids, which interest personas are compared against before vanilla
+    streams past (it sits after them in roster order).  Then bid
+    records (grouped per persona; contiguous in roster order) and sync
+    records arrive one at a time, and :meth:`finish` adds the policy
+    fold.  Every step performs the same arithmetic on the same values
+    in the same order as :func:`export_summary`, and memory is
+    O(aggregates).
+    """
+
+    def __init__(self, store) -> None:
+        self._store = store
+        self._kinds: Dict[int, tuple] = {}
+        slot_sets: List[List[str]] = []
+        for record in store.iter_stream("personas"):
+            self._kinds[record["pos"]] = (record["name"], record["kind"])
+            slot_sets.append(record["loaded_slots"])
+        self._slots = common_slots_from_sets(slot_sets)
+        vanilla_pos = next(
+            (pos for pos, (_, kind) in self._kinds.items() if kind == "vanilla"),
+            None,
+        )
+        self._vanilla_sample: List[float] = []
+        if vanilla_pos is not None:
+            self._vanilla_sample = representative_from_rows(
+                store.stream_records_for("bids", vanilla_pos), self._slots
+            )
+        self._bid_summaries: Dict[str, dict] = {}
+        self._significance: Dict[str, dict] = {}
+        self._group_pos: Optional[int] = None
+        self._group: List[dict] = []
+        self._sync = SyncAnalysis(partner_downstream=defaultdict(set))
+
+    def add_bid(self, record: dict) -> None:
+        if record["pos"] != self._group_pos:
+            self._finish_group()
+            self._group_pos = record["pos"]
+            self._group = []
+        self._group.append(record)
+
+    def add_sync(self, record: dict) -> None:
+        classify_sync_event(
+            self._sync,
+            SyncEvent(
+                persona=record["persona"],
+                source=record["source"],
+                destination_host=record["destination"],
+                uid=record["uid"],
+                url=record["url"],
+            ),
+            keep_event=False,
         )
 
-    # Pass 2: bids, grouped by persona (contiguous in the merged stream).
-    bid_summaries: Dict[str, dict] = {}
-    significance: Dict[str, dict] = {}
-
-    def finish_group(pos: int, rows: List[dict]) -> None:
-        name, kind = kinds[pos]
+    def _finish_group(self) -> None:
+        if self._group_pos is None:
+            return
+        name, kind = self._kinds[self._group_pos]
         if kind == "web":
             return
-        cpms = post_cpms_from_rows(rows, slots)
+        cpms = post_cpms_from_rows(self._group, self._slots)
         if cpms:
-            bid_summaries[name] = _bid_summary_cell(summarize(cpms))
+            self._bid_summaries[name] = _bid_summary_cell(summarize(cpms))
         if kind == "interest":
-            sample = representative_from_rows(rows, slots)
-            if sample and vanilla_sample:
-                significance[name] = _significance_cell(
-                    mann_whitney_u(sample, vanilla_sample, alternative="greater")
+            sample = representative_from_rows(self._group, self._slots)
+            if sample and self._vanilla_sample:
+                self._significance[name] = _significance_cell(
+                    mann_whitney_u(
+                        sample, self._vanilla_sample, alternative="greater"
+                    )
                 )
 
-    current_pos: Optional[int] = None
-    group: List[dict] = []
-    for record in store.iter_stream("bids"):
-        if record["pos"] != current_pos:
-            if current_pos is not None:
-                finish_group(current_pos, group)
-            current_pos = record["pos"]
-            group = []
-        group.append(record)
-    if current_pos is not None:
-        finish_group(current_pos, group)
-
-    # Pass 3 + 4: sync and policy folds (no event retention).
-    sync = fold_sync_events(
-        (
-            SyncEvent(
-                persona=r["persona"],
-                source=r["source"],
-                destination_host=r["destination"],
-                uid=r["uid"],
-                url=r["url"],
-            )
-            for r in store.iter_stream("sync")
-        ),
-        keep_events=False,
-    )
-    availability = fold_policy_availability(store.iter_stream("policy"))
-
-    return _assemble_summary(
-        personas=sorted(store.roster),
-        n_slots=len(slots),
-        bid_summaries=bid_summaries,
-        significance=significance,
-        sync=sync,
-        availability=availability,
-    )
+    def finish(self) -> dict:
+        """The summary mapping; the fold is spent afterwards."""
+        self._finish_group()
+        self._sync.partner_downstream = dict(self._sync.partner_downstream)
+        return _assemble_summary(
+            personas=sorted(self._store.roster),
+            n_slots=len(self._slots),
+            bid_summaries=self._bid_summaries,
+            significance=self._significance,
+            sync=self._sync,
+            availability=fold_policy_availability(
+                self._store.iter_stream("policy")
+            ),
+        )
 
 
 # ---------------------------------------------------------------------- #

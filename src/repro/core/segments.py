@@ -84,19 +84,43 @@ carry the roster position (``pos``) of their persona; within a persona
 they keep collection order, so the merged stream reproduces exactly the
 iteration order of the in-memory dataset — which is what keeps
 segment-store exports byte-identical to the in-memory path.
+
+Per-campaign work, once
+-----------------------
+
+A campaign builds one private world per batch, but the seed-only skill
+catalog inside it is the same for every batch: the campaign runner
+(:func:`~repro.core.campaign.run_segment_positions`) builds the base,
+unchurned catalog once and passes it through
+:func:`write_segment_batch` / :func:`run_segment_shard` into every
+batch's world, which still applies the epoch's ``catalog_churn`` on
+top.  Records are encoded by one module-level JSON encoder, and every
+read — full-segment iteration and indexed point reads alike — decodes
+lines through one helper, :func:`_decode_lines`.
 """
 
 from __future__ import annotations
 
 import gc
 import hashlib
+import io
 import json
 import logging
 import os
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.core.checkpoint import atomic_write_bytes, quarantine_path
 from repro.core.iosim import read_text as _seam_read_text
@@ -110,6 +134,7 @@ from repro.core.personas import positions_by_name, scaled_roster
 from repro.core.profiling import persona_observations
 from repro.core.syncing import persona_sync_events
 from repro.core.world import build_config_world
+from repro.data.skill_catalog import SkillCatalog
 from repro.util.rng import Seed
 
 __all__ = [
@@ -169,8 +194,38 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _dumps(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+#: Canonical record encoding: one reused encoder (``json.dumps`` with
+#: these arguments builds a fresh ``JSONEncoder`` per call; the other
+#: defaults are equal, so the bytes are identical).
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+#: One decoder for every segment line.  ``json.loads`` dispatches to a
+#: default decoder per call, and ``decode`` runs two whitespace regexes
+#: around the scan; a canonical line needs neither.
+_decoder = json.JSONDecoder()
+_decode = _decoder.decode
+_scan_once = _decoder.scan_once
+
+
+def _decode_lines(lines: Iterable[str]) -> Iterator[dict]:
+    """Decode segment record lines, one JSON value per line.
+
+    The one decode path for full-segment reads and indexed point reads.
+    A canonical line (one value, then its newline or the end) is scanned
+    directly; every other line goes through ``decode``, which is exactly
+    ``json.loads``: blank lines are skipped, and a line holding anything
+    but one JSON value raises :class:`json.JSONDecodeError`.
+    """
+    for line in lines:
+        try:
+            value, end = _scan_once(line, 0)
+        except StopIteration:  # blank, leading whitespace, or not JSON
+            if line and not line.isspace():
+                yield _decode(line)
+            continue
+        if line[end:] not in ("", "\n"):
+            value = _decode(line)
+        yield value
 
 
 @dataclass(frozen=True)
@@ -367,12 +422,13 @@ class SegmentStore:
         if unknown:
             raise ValueError(f"unknown streams: {sorted(unknown)}")
 
+        batch_positions = set(ordered)
         segments: Dict[str, Dict[str, object]] = {}
         index_streams: Dict[str, Dict[str, object]] = {}
         for stream in STREAMS:
             records = records_by_stream.get(stream, [])
             stray = [
-                r["pos"] for r in records if r.get("pos") not in set(ordered)
+                r["pos"] for r in records if r.get("pos") not in batch_positions
             ]
             if stray:
                 raise ValueError(
@@ -988,9 +1044,10 @@ class SegmentStore:
             with path.open("rb") as handle:
                 handle.seek(start)
                 blob = handle.read(length)
-            records = [
-                json.loads(line) for line in blob.splitlines() if line.strip()
-            ]
+            # Universal newlines, like the text-mode full-segment read.
+            records = list(
+                _decode_lines(io.StringIO(blob.decode("utf-8"), newline=None))
+            )
             if len(records) == count and all(
                 record.get("pos") == pos for record in records
             ):
@@ -1014,7 +1071,7 @@ class SegmentStore:
             entry.origin_fingerprint or self.config_fingerprint
         )
         with path.open("r", encoding="utf-8") as handle:
-            header = json.loads(next(handle))
+            header = _decode(next(handle))
             if (
                 header.get("schema") != SEGMENT_SCHEMA_VERSION
                 or header.get("stream") != stream
@@ -1025,10 +1082,8 @@ class SegmentStore:
                     f"segment {path.name} header fails validation"
                 )
             yielded = 0
-            for line in handle:
-                if not line.strip():
-                    continue
-                yield json.loads(line)
+            for record in _decode_lines(handle):
+                yield record
                 yielded += 1
             if yielded != count:
                 raise CorruptSegmentError(
@@ -1217,6 +1272,7 @@ def write_segment_batch(
     seed: Seed,
     config: ExperimentConfig,
     positions: Sequence[int],
+    catalog: Optional[SkillCatalog] = None,
 ) -> None:
     """Run the campaign for one persona batch and publish its segments.
 
@@ -1226,12 +1282,16 @@ def write_segment_batch(
     the next batch.  Per-persona artifacts are seed-substream-keyed
     (independent of batch composition), so any batching produces the
     same segments.
+
+    ``catalog`` is the campaign's shared base catalog
+    (``build_catalog(seed)``, never a churned one — the world applies
+    ``config.catalog_churn`` itself); ``None`` builds it here.
     """
     roster = scaled_roster(config.roster_scale)
     if tuple(p.name for p in roster) != store.roster:
         raise ValueError("config roster does not match the store roster")
     personas = [roster[pos] for pos in positions]
-    world = build_config_world(seed, config)
+    world = build_config_world(seed, config, catalog=catalog)
     dataset = ExperimentRunner(world, config, personas=personas).run()
     records: Dict[str, List[dict]] = {stream: [] for stream in STREAMS}
     for pos, persona in zip(positions, personas):
@@ -1251,6 +1311,7 @@ def run_segment_shard(
     *,
     store_root: Union[str, Path],
     batch_personas: int = 1,
+    catalog: Optional[SkillCatalog] = None,
 ):
     """Supervisor shard body that emits segments instead of artifacts.
 
@@ -1261,7 +1322,9 @@ def run_segment_shard(
     batches — skipping batches already covered, which gives a crashed
     and retried shard persona-granularity resume for free — and returns
     a lightweight, artifact-free :class:`~repro.core.parallel.ShardResult`
-    for the supervisor's journal bookkeeping.
+    for the supervisor's journal bookkeeping.  ``catalog`` is passed to
+    every :func:`write_segment_batch` call (the campaign's shared base
+    catalog; forked workers inherit it, threads share it read-only).
     """
     from repro.core.cache import config_fingerprint
     from repro.core.parallel import ShardResult
@@ -1291,7 +1354,7 @@ def run_segment_shard(
         if not chunk:
             continue
         try:
-            write_segment_batch(store, seed, config, chunk)
+            write_segment_batch(store, seed, config, chunk, catalog)
         except PositionsCoveredError:
             store.invalidate_scan()  # lost the race; identical bytes won
         # Collect the batch's cyclic world/runner graph immediately so a

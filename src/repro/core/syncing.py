@@ -24,6 +24,7 @@ __all__ = [
     "detect_cookie_syncing",
     "persona_sync_events",
     "fold_sync_events",
+    "classify_sync_event",
 ]
 
 _SYNC_PATHS = re.compile(r"/(cm|setuid|match|x/cm|usersync|pixel)(/|$|\?)")
@@ -133,14 +134,20 @@ def fold_sync_events(events, keep_events: bool = True) -> SyncAnalysis:
     """
     analysis = SyncAnalysis(partner_downstream=defaultdict(set))
     for event in events:
-        _classify(analysis, event, keep_event=keep_events)
+        classify_sync_event(analysis, event, keep_event=keep_events)
     analysis.partner_downstream = dict(analysis.partner_downstream)
     return analysis
 
 
-def _classify(
+def classify_sync_event(
     analysis: SyncAnalysis, event: SyncEvent, keep_event: bool = True
 ) -> None:
+    """Fold one sync event into a running :class:`SyncAnalysis`.
+
+    The step of :func:`fold_sync_events`, for folds that receive events
+    one at a time; their ``partner_downstream`` must start as a
+    ``defaultdict(set)``.
+    """
     if keep_event:
         analysis.events.append(event)
     destination = event.destination_host

@@ -161,7 +161,9 @@ def build_world(
     )
 
 
-def build_config_world(seed: Seed, config) -> World:
+def build_config_world(
+    seed: Seed, config, catalog: Optional[SkillCatalog] = None
+) -> World:
     """:func:`build_world` with every world-shaping field of an
     :class:`~repro.core.experiment.ExperimentConfig` threaded through.
 
@@ -169,9 +171,14 @@ def build_config_world(seed: Seed, config) -> World:
     parallel shards, segment batches, cache loads): going through it is
     what guarantees that two engines given the same ``(seed, config)``
     audit the same world — the root of every byte-identical-exports pin.
+
+    ``catalog`` lets a caller that builds many worlds for one seed share
+    one base catalog (``build_catalog(seed)``, unchurned: the config's
+    ``catalog_churn`` is still applied per world).
     """
     return build_world(
         seed,
+        catalog,
         faults=config.fault_profile,
         epoch_offset_days=config.epoch_offset_days,
         bidders_entered=config.bidders_entered,

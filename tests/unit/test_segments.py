@@ -6,9 +6,12 @@ covers the store itself: batch writes, coverage validation, the k-way
 merge, point reads, corruption quarantine, and the manifest envelope.
 """
 
+import hashlib
 import json
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.core.segments import (
     SEGMENT_SCHEMA_VERSION,
@@ -16,6 +19,7 @@ from repro.core.segments import (
     CorruptSegmentError,
     PositionsCoveredError,
     SegmentStore,
+    _dumps,
     persona_stream_records,
     write_dataset_segments,
 )
@@ -235,3 +239,74 @@ class TestWriteDatasetSegments:
         store = SegmentStore(tmp_path, 7, "small0000000000", ("wrong",))
         with pytest.raises(ValueError):
             write_dataset_segments(store, small_dataset)
+
+
+def _rewrite_segment(store, stream, transform):
+    """Rewrite one segment's body lines and refresh the marker digest,
+    so the batch still scans as covered and only the reader can object."""
+    segment = next(store.segments_dir.glob(f"{stream}-*.jsonl"))
+    header, *body = segment.read_text(encoding="utf-8").splitlines()
+    tampered = "\n".join([header] + transform(body)) + "\n"
+    marker = next(store.batches_dir.glob("batch-*.json"))
+    payload = json.loads(marker.read_text())
+    payload["segments"][stream]["digest"] = hashlib.sha256(
+        tampered.encode()
+    ).hexdigest()
+    segment.write_text(tampered, encoding="utf-8")
+    marker.write_text(json.dumps(payload))
+    return make_store(store.root)
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(alphabet=st.characters(), max_size=12),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestEncoderAndDecoder:
+    @given(value=json_values)
+    @example(value={"z": -0.0, "a": [1e300, "café   \U0001f600"]})
+    @example(value={"b": {"y": None, "x": True}, "a": [False, 0, -7]})
+    def test_dumps_matches_canonical_json_dumps(self, value):
+        assert _dumps(value) == json.dumps(
+            value, sort_keys=True, separators=(",", ":")
+        )
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda body: [body[0] + "," + body[1]] + body[2:],  # two objects
+            lambda body: [body[0][:-3]] + body[1:],  # truncated object
+            lambda body: body[:1] + ["]"] + body[1:],  # bare bracket
+        ],
+        ids=["two-objects", "truncated", "bare-bracket"],
+    )
+    def test_malformed_body_line_raises(self, tmp_path, corrupt):
+        store = make_store(tmp_path)
+        store.write_batch([0, 1], bid_records(0, 1))
+        fresh = _rewrite_segment(store, "bids", corrupt)
+        assert fresh.covered_positions() == {0, 1}
+        with pytest.raises(json.JSONDecodeError):
+            list(fresh.iter_stream("bids"))
+        # The indexed point read falls back to the full scan, which
+        # reaches the bad line too.
+        with pytest.raises(json.JSONDecodeError):
+            fresh.stream_records_for("bids", 0)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        store = make_store(tmp_path)
+        store.write_batch([0, 1], bid_records(0, 1))
+        expected = list(store.iter_stream("bids"))
+        fresh = _rewrite_segment(
+            store,
+            "bids",
+            lambda body: [x for line in body for x in ("", line, "  \t")],
+        )
+        assert list(fresh.iter_stream("bids")) == expected
+        assert fresh.stream_records_for("bids", 1) == expected[2:]
