@@ -20,6 +20,7 @@ the pre-Christmas inflation of Table 6 / Figure 3a.
 from __future__ import annotations
 
 import datetime as _dt
+import random
 from dataclasses import dataclass
 from repro.data import categories as cat
 from repro.data.calibration import (
@@ -28,7 +29,7 @@ from repro.data.calibration import (
     bid_params,
     holiday_factor,
 )
-from repro.util.rng import Seed
+from repro.util.rng import Seed, derive_seed_int
 
 __all__ = ["Bidder", "AuctionContext", "WEB_SIGNAL_FRACTION"]
 
@@ -62,6 +63,9 @@ class Bidder:
         self.domain = domain
         self.is_partner = is_partner
         self._seed = seed
+        #: One generator, reseeded per bid: the same seed integer puts
+        #: MT19937 in the same state a fresh ``seed.rng(...)`` would.
+        self._rng = random.Random()
 
     def __repr__(self) -> str:
         kind = "partner" if self.is_partner else "non-partner"
@@ -69,8 +73,12 @@ class Bidder:
 
     def compute_bid(self, context: AuctionContext) -> float:
         """CPM bid for this auction (deterministic per seed+context)."""
-        rng = self._seed.rng(
-            "bid", self.code, context.persona, context.iteration, context.slot_id
+        rng = self._rng
+        rng.seed(
+            derive_seed_int(
+                self._seed.root,
+                ("bid", self.code, context.persona, context.iteration, context.slot_id),
+            )
         )
         params = self._params_for(context, rng)
         cpm = rng.lognormvariate(params.mu, params.sigma)

@@ -102,11 +102,17 @@ class AdTechWorld:
         self._uid_index: Dict[str, PersonaState] = {}
         #: (bidder code, uid) pairs already cookie-matched with Amazon.
         self._matches: Set[Tuple[str, str]] = set()
-        #: (partner code, downstream domain, uid) completed syncs.
-        self._downstream_done: Set[Tuple[str, str, str]] = set()
+        #: (partner code, uid) pairs that have fired every downstream sync.
+        self._downstream_synced: Set[Tuple[str, str]] = set()
         self._profiles: Dict[str, PersonaState] = {}
         #: slot id -> its bidders; bounded by the world's ad slots.
         self._slot_bidders: Dict[str, Tuple[Bidder, ...]] = {}
+        #: (slot id, persona) -> whether the slot loads; bounded by the
+        #: world's slots times its personas.
+        self._slot_loads: Dict[Tuple[str, str], bool] = {}
+        #: The last bid request's ``when`` string and its datetime: every
+        #: bid request of one page carries the same one.
+        self._when: Optional[Tuple[str, _dt.datetime]] = None
         #: Observability sink; the experiment runner swaps in its
         #: collector so exchange counters land in the campaign trace.
         self.obs = NULL_OBS
@@ -219,9 +225,14 @@ class AdTechWorld:
         return bidders
 
     def slot_loads(self, slot_id: str, persona: str) -> bool:
-        """Whether this slot renders for this persona (stable per pair)."""
-        rng = self._seed.rng("adtech", "slot-load", slot_id, persona)
-        return rng.random() >= SLOT_FAILURE_RATE
+        """Whether this slot renders for this persona (stable per pair, so
+        drawn once per pair)."""
+        key = (slot_id, persona)
+        loads = self._slot_loads.get(key)
+        if loads is None:
+            rng = self._seed.rng("adtech", "slot-load", slot_id, persona)
+            loads = self._slot_loads[key] = rng.random() >= SLOT_FAILURE_RATE
+        return loads
 
     # ------------------------------------------------------------------ #
     # Endpoint handlers
@@ -268,7 +279,7 @@ class AdTechWorld:
             context = AuctionContext(
                 persona=state.persona,
                 interacted=state.interacted,
-                when=_dt.datetime.fromisoformat(query["when"]),
+                when=self._parse_when(query["when"]),
                 slot_id=query["slot"],
                 iteration=int(query["iteration"]),
             )
@@ -285,20 +296,35 @@ class AdTechWorld:
 
         return handler
 
+    def _parse_when(self, when: str) -> _dt.datetime:
+        """``datetime.fromisoformat(when)``, parsed once per page."""
+        last = self._when
+        if last is None or last[0] != when:
+            last = self._when = (when, _dt.datetime.fromisoformat(when))
+        return last[1]
+
     def _sync_urls(self, bidder: Bidder, uid: str) -> List[str]:
-        """Prebid-style userSync pixels to fire after this bid response."""
+        """Prebid-style userSync pixels to fire after this bid response.
+
+        A partner syncs a uid to all its downstream parties the first
+        time it bids for it, and never again.
+        """
         urls: List[str] = []
         if not bidder.is_partner:
             return urls
-        if (bidder.code, uid) not in self._matches:
+        key = (bidder.code, uid)
+        if key not in self._matches:
             urls.append(
                 f"https://{AMAZON_ADS_DOMAIN}/x/cm?bidder={bidder.code}&uid={uid}"
             )
-        for domain in self._downstream_by_partner.get(bidder.code, ()):
-            if (bidder.code, domain, uid) not in self._downstream_done:
-                self._downstream_done.add((bidder.code, domain, uid))
-                self.obs.inc("adtech.downstream_syncs")
-                urls.append(f"https://{domain}/setuid?partner={bidder.code}&uid={uid}")
+        if key not in self._downstream_synced:
+            self._downstream_synced.add(key)
+            downstream = self._downstream_by_partner.get(bidder.code, ())
+            self.obs.inc("adtech.downstream_syncs", len(downstream))
+            urls.extend(
+                f"https://{domain}/setuid?partner={bidder.code}&uid={uid}"
+                for domain in downstream
+            )
         return urls
 
     def _handle_amazon_sync(self, request: HttpRequest) -> HttpResponse:

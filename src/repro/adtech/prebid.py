@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Optional
-from urllib.parse import urlencode
+from urllib.parse import quote_plus, urlencode
 
 from repro.adtech.ads import AdCreative
 from repro.adtech.exchange import AdTechWorld
@@ -107,19 +107,21 @@ class PrebidSession:
             return self.get_bid_responses()
         self._requested = True
         persona = self.browser.profile.persona
-        when = self.browser.clock.datetime().isoformat()
+        # The page's part of every bid query, encoded once per page.
+        page_pairs = (
+            ("page", self.site.domain),
+            ("iteration", str(self.iteration)),
+            ("when", self.browser.clock.datetime().isoformat()),
+        )
+        page_query = urlencode(page_pairs)
         for unit in self._page_body.get("ad_units", []):
             if not self.adtech.slot_loads(unit, persona):
                 continue
             responses: List[BidResponse] = []
-            # One query per ad unit, encoded once and shared by its bidders.
-            pairs = (
-                ("slot", unit),
-                ("page", self.site.domain),
-                ("iteration", str(self.iteration)),
-                ("when", when),
-            )
-            query = urlencode(pairs)
+            # One query per ad unit, shared by its bidders: byte for byte
+            # ``urlencode`` of the whole pairs.
+            pairs = (("slot", unit),) + page_pairs
+            query = f"slot={quote_plus(unit)}&{page_query}"
             for bidder in self.adtech.bidders_for_slot(unit):
                 reply = self.browser.get(
                     HttpRequest.from_parts("GET", "https", bidder.domain, "/bid", pairs, query)

@@ -25,6 +25,7 @@ the *shape* of every table and figure:
 from __future__ import annotations
 
 import datetime as _dt
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple
@@ -126,8 +127,12 @@ INFORMED_FRACTION: Dict[str, float] = {
 NON_PARTNER_SIGNAL_FACTOR = 0.45
 
 
+@functools.lru_cache(maxsize=64)
 def bid_params(persona_category: str) -> BidParams:
-    """Interest-distribution parameters for a persona category."""
+    """Interest-distribution parameters for a persona category.
+
+    Memoised (the categories are a few dozen at most): every bid asks.
+    """
     if persona_category == cat.VANILLA:
         median, mean = VANILLA_BID_TARGETS
     elif persona_category in PERSONA_BID_TARGETS:
@@ -170,7 +175,12 @@ def holiday_factor(when: _dt.datetime) -> float:
     pre-interaction (holiday) bids were as high as post-interaction ones
     (§5.1, Table 6).
     """
-    day = when.date()
+    return _day_factor(when.date())
+
+
+@functools.lru_cache(maxsize=1024)
+def _day_factor(day: _dt.date) -> float:
+    """:func:`holiday_factor` for one calendar day, memoised: every bid asks."""
     if day <= _HOLIDAY_RAMP[0][0] or day >= _HOLIDAY_RAMP[-1][0]:
         return 1.0
     for (d0, f0), (d1, f1) in zip(_HOLIDAY_RAMP, _HOLIDAY_RAMP[1:]):

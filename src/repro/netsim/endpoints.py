@@ -7,6 +7,7 @@ authoritative DNS zone for :class:`~repro.netsim.dns.DnsServer`.
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional
@@ -69,8 +70,13 @@ _MULTI_LABEL_SUFFIXES = {
 }
 
 
+@functools.lru_cache(maxsize=4096)
 def registrable_domain(domain: str) -> str:
-    """Best-effort eTLD+1 for the simulation's domain universe."""
+    """Best-effort eTLD+1 for the simulation's domain universe.
+
+    Memoised, with a bound well above a campaign's distinct hosts: the
+    browser's cookie jar asks for every hop.
+    """
     labels = domain.lower().rstrip(".").split(".")
     if len(labels) <= 2:
         return ".".join(labels)

@@ -23,15 +23,17 @@ _NON_MAPPING_TYPES = frozenset({int, float, bool, type(None), list, tuple})
 
 @dataclass(frozen=True)
 class HttpRequest:
-    """An HTTP request issued by a device or browser; its URL is parsed once.
+    """An HTTP request issued by a device or browser; its URL is split once.
 
     ``body`` carries the parsed application payload (e.g. the data types a
     skill uploads); ``cookies`` carry client-side identifiers, which is what
     cookie-sync detection inspects.  ``url`` is split by
     :func:`urllib.parse.urlparse` once, at construction, into ``scheme``,
-    ``host`` (no port), ``path`` and the query pairs, which every accessor
-    reads; :meth:`from_parts` builds a request from parts without parsing.
-    The parts are left out of equality, hashing, ``repr`` and pickling.
+    ``host`` (no port), ``path`` and the raw query string; the query pairs
+    are parsed from that string by :func:`urllib.parse.parse_qsl` only when
+    an accessor first reads them, and kept.  :meth:`from_parts` builds a
+    request from parts, pairs included, without parsing.  The parts are
+    left out of equality, hashing, ``repr`` and pickling.
     """
 
     method: str
@@ -44,19 +46,26 @@ class HttpRequest:
     scheme: str = field(init=False, repr=False, compare=False)
     host: str = field(init=False, repr=False, compare=False)
     path: str = field(init=False, repr=False, compare=False)
-    _pairs: QueryPairs = field(init=False, repr=False, compare=False)
+    #: The query string, kept until :attr:`_pairs` is first read.
+    _query: str = field(init=False, repr=False, compare=False)
+    #: Parsed query pairs; ``None`` until first read.
+    _parsed: Optional[QueryPairs] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, parts: Optional[Tuple[str, str, str, QueryPairs]]) -> None:
         if self.method not in {"GET", "POST", "PUT", "DELETE", "HEAD"}:
             raise ValueError(f"unsupported HTTP method: {self.method}")
         if parts is None:
             parsed = urlparse(self.url)
-            host, pairs = parsed.netloc.split(":")[0], tuple(parse_qsl(parsed.query))
-            parts = (parsed.scheme, host, parsed.path or "/", pairs)
-        if parts[0] not in ("http", "https") or not parts[1]:
+            scheme, host, path = parsed.scheme, parsed.netloc.split(":")[0], parsed.path or "/"
+            query = parsed.query
+            pairs = None if query else ()
+        else:
+            scheme, host, path, pairs = parts
+            query = ""
+        if scheme not in ("http", "https") or not host:
             raise ValueError(f"invalid URL: {self.url}")
-        for name, value in zip(("scheme", "host", "path", "_pairs"), parts):
-            object.__setattr__(self, name, value)
+        # Frozen: the derived parts go straight into the instance dict.
+        self.__dict__.update(scheme=scheme, host=host, path=path, _query=query, _parsed=pairs)
 
     @classmethod
     def from_parts(
@@ -76,6 +85,15 @@ class HttpRequest:
 
     def __reduce__(self):
         return (type(self), (self.method, self.url, self.headers, self.cookies, self.body))
+
+    @property
+    def _pairs(self) -> QueryPairs:
+        """The query pairs, parsed on first read."""
+        pairs = self._parsed
+        if pairs is None:
+            pairs = tuple(parse_qsl(self._query))
+            self.__dict__["_parsed"] = pairs
+        return pairs
 
     @property
     def query(self) -> Dict[str, str]:
@@ -101,9 +119,16 @@ class HttpRequest:
         return self.scheme == "https"
 
     def with_cookies(self, cookies: Mapping[str, str]) -> "HttpRequest":
-        """Return a copy sending ``cookies``; the URL is not parsed again."""
-        parts = (self.scheme, self.host, self.path, self._pairs)
-        return HttpRequest(self.method, self.url, self.headers, cookies, self.body, parts=parts)
+        """Return a copy sending ``cookies``.
+
+        The copy takes this (already validated) request's state as is,
+        query pairs parsed or not; nothing is parsed or validated again.
+        """
+        copy = object.__new__(HttpRequest)
+        state = copy.__dict__
+        state.update(self.__dict__)
+        state["cookies"] = cookies
+        return copy
 
     def with_query(self, **params: str) -> "HttpRequest":
         """Return a copy with extra query parameters merged in."""

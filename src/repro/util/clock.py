@@ -9,6 +9,7 @@ advances only when the simulation says so.
 from __future__ import annotations
 
 import datetime as _dt
+import math
 
 __all__ = ["SimClock", "PAPER_EPOCH", "HOLIDAY_SEASON"]
 
@@ -43,8 +44,10 @@ class SimClock:
 
     def advance(self, seconds: float) -> float:
         """Advance the clock and return the new ``now``."""
-        if seconds < 0:
-            raise ValueError(f"cannot advance clock by negative time ({seconds})")
+        if not 0 <= seconds < math.inf:
+            # One chained compare also rejects NaN, which fails every
+            # comparison and would poison every later timestamp.
+            raise ValueError(f"clock advance must be finite and non-negative, got {seconds}")
         self._elapsed += seconds
         return self._elapsed
 

@@ -196,15 +196,12 @@ class Browser:
             )
 
     def _cookies_for(self, host: str) -> Dict[str, str]:
+        """A snapshot of the cookies sent to ``host`` — what the log keeps."""
         cookies = self.profile.jar.get(host)
         if not cookies:
             # First visit to this party: mint its first-party cookie, the
             # identifier ad services use for syncing.
-            cookies = {}
-            self.profile.jar.set(
-                host,
-                "uid",
-                stable_hash("uid", self.profile.profile_id, registrable_domain(host)),
-            )
-            cookies = self.profile.jar.get(host)
+            uid = stable_hash("uid", self.profile.profile_id, registrable_domain(host))
+            self.profile.jar.set(host, "uid", uid)
+            cookies = {"uid": uid}
         return cookies

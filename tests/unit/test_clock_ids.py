@@ -22,6 +22,16 @@ class TestSimClock:
         with pytest.raises(ValueError):
             SimClock().advance(-1)
 
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), float("-inf"), -1e-9])
+    def test_advance_non_finite_rejected(self, seconds):
+        clock = SimClock()
+        clock.advance(1.5)
+        with pytest.raises(ValueError):
+            clock.advance(seconds)
+        assert clock.now == 1.5
+        clock.advance(0)
+        assert clock.datetime() == PAPER_EPOCH + dt.timedelta(seconds=1.5)
+
     def test_datetime_tracks_epoch(self):
         clock = SimClock()
         clock.advance(3600)
