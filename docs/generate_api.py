@@ -225,22 +225,26 @@ Pass `obs=False` to `run_campaign` to disable collection entirely
 
 `run_campaign` drives a perfectly healthy network unless a fault profile
 is set (`ExperimentConfig(fault_profile=...)`, or `--faults` on the
-CLI).  The subsystem lives in `repro.netsim.faults`:
+CLI).  The subsystem lives in `repro.netsim.faults`, one of three
+tables over the seeded fault kernel `repro.util.faults` (see "One fault
+kernel" below):
 
 * **`FaultProfile`** — a named mix of per-request rates for the four
   failure modes in `FAULT_KINDS` (`nxdomain`, `timeout`, `http_5xx`,
   `slow`).  `FaultProfile.parse` accepts a profile name from
-  `FAULT_PROFILES` (`none` / `mild` / `harsh`) or a float overall rate.
+  `FAULT_PROFILES` (`none` / `mild` / `harsh`), a float overall rate,
+  or the `rate:<x>` name a float rate normalises to.
 * **`FaultPlan`** — turns a profile into concrete per-request
-  `FaultDecision`s.  Decisions are drawn from `StreamFamily` substreams
+  `FaultDecision`s; `FaultPlan.decide(actor, domain)` is called once
+  per attempt and returns `None` for a healthy request.  Decisions are drawn from `StreamFamily` substreams
   keyed by `(actor, domain)` and derived from the world `Seed`, so an
   actor's fault schedule depends only on its own request sequence —
   never on shard composition.  Serial and persona-sharded parallel
   campaigns therefore stay byte-identical under every profile
   (`tests/integration/test_fault_resilience.py`), and `fault_profile`
   is part of the config fingerprint.
-* **`RetryPolicy`** — capped exponential backoff shared by Echo
-  devices, the AVS Echo, and the crawler.  Backoff burns *simulated*
+* **`RetryPolicy`** — the kernel's capped exponential `Backoff`, shared
+  by Echo devices, the AVS Echo, and the crawler.  Backoff burns *simulated*
   seconds (`SimClock.advance`); library code never sleeps on the host
   clock.  Retries fire on `NetworkError` and on retryable statuses
   (500/502/503/504); once exhausted, the last retryable response is
@@ -256,6 +260,34 @@ accounted for in the metrics (`net.faults.*`, `web.faults.*`,
 `skills.sessions_failed`) plus the manifest's `fault_profile` field —
 so partial data is always distinguishable from a healthy run.
 
+## One fault kernel
+
+`repro.util.faults` owns every decision the three fault domains —
+network requests, storage reads and writes, shard workers — make alike:
+
+* **`FaultTable`** — the base of each domain's frozen rate dataclass:
+  one `<kind>_rate` field per kind, in draw order.  It validates every
+  rate (in [0, 1], sum ≤ 1), every `*_seconds` duration and every
+  `*_seconds` / `*_fraction` range (finite, ordered, fractions inside
+  [0, 1]) at construction, and computes the cumulative draw edges once.
+  Named profiles get `from_rate` and `parse`.
+* **`FaultDraw`** — the seeded engine: one `StreamFamily` per plan,
+  exactly one `random()` per decision from the key's own stream, and
+  any parameter draw from the same stream right after it.  Targeted
+  overrides (`override(key, kind, after=N)`) are checked first and
+  consume no draw; the worker `targeted` schedule and the storage
+  `exhaust` thresholds are both overrides.
+* **`FaultDecision(kind, seconds=0.0, fraction=0.0)`** — the one
+  decision type, and **`Backoff`** — the one capped exponential retry
+  schedule.
+
+The kind order and each domain's substream key (network
+`seed.derive("faults")`/`(actor, domain)`, storage
+`seed.derive("storage")`/`(component, op)`, worker
+`seed.derive("supervisor")`/`(shard, attempt)`) are part of the
+determinism contract; `tests/unit/test_fault_schedules.py` pins each
+domain's decision sequence.
+
 ## Storage chaos: seeded I/O faults, hardened writes, `repro fsck`
 
 `repro.core.iosim` gives the storage layer the same seeded-fault
@@ -268,7 +300,7 @@ treatment as the network (`FaultPlan`) and the workers
   profile name from `STORAGE_FAULT_PROFILES` (`none` / `mild` /
   `harsh`) or an overall rate (`rate:0.05`).
 * **`StorageFaultPlan`** — turns a profile into concrete
-  `StorageFaultDecision`s drawn from `Seed.derive("storage")`
+  `FaultDecision`s drawn from `Seed.derive("storage")`
   substreams keyed by `(component, op)` (`segments`, `checkpoint`,
   `cache`, `service`, …), so a component's fault schedule depends only
   on its own operation sequence — never on shard composition.
@@ -279,7 +311,10 @@ treatment as the network (`FaultPlan`) and the workers
 * **Installation is harness-level** — `install_storage_faults(...)` /
   the `storage_faults(...)` context manager in Python, the
   `--storage-faults` flag on the CLI, or
-  `REPRO_STORAGE_FAULTS=<profile>:<seed>` in the environment.  The
+  `REPRO_STORAGE_FAULTS=<profile>:<seed>` in the environment.
+  `propagate=True` exports that variable for spawned workers and
+  raises `ValueError` for a plan it cannot carry: a custom profile or
+  an `exhaust` schedule.  The
   plan never enters the config fingerprint: a faulted run is the same
   campaign as a healthy one, merely executed on worse hardware.
 
@@ -290,7 +325,8 @@ dataset cache.  The hardening contract:
 
 * Transient faults (`eio`, `fsync`, `rename`, `torn`, `slow`) are
   retried behind the seam with capped exponential backoff
-  (`DEFAULT_STORAGE_RETRY`, host clock); a torn temp file is discarded
+  (`DEFAULT_STORAGE_RETRY`, a `Backoff` on the host clock; reads and
+  writes share one retry loop); a torn temp file is discarded
   before the rename, so torn bytes never reach a live name.
   `storage.retries` / `storage.retry_exhausted` count the work.
 * `corrupt_read` fires only on self-healing artifacts; every victim is
@@ -369,8 +405,8 @@ and `checkpointed`.
 Recovery is testable on demand: `WorkerFaultPlan` injects worker-level
 faults (`WORKER_FAULT_KINDS`: `crash`, `hang`, `poison`) either at
 seeded rates drawn from substreams keyed by `(shard, attempt)` — the
-same style as the network's `FaultPlan` — or as an exact
-`WorkerFaultPlan.targeted({(shard, attempt): kind})` schedule.
+third table on the network's and storage's fault kernel — or as an
+exact `WorkerFaultPlan.targeted({(shard, attempt): kind})` schedule.
 Supervisor overhead on a healthy run is budgeted under 5% of campaign
 wall-clock (`bench_supervisor_overhead`).
 

@@ -46,7 +46,6 @@ from repro.core.fsck import FsckReport, fsck_path
 from repro.core.iosim import (
     StorageFaultPlan,
     StorageFaultProfile,
-    StorageRetryPolicy,
     install_storage_faults,
     storage_faults,
     uninstall_storage_faults,
@@ -118,7 +117,6 @@ __all__ = [
     "ShardResult",
     "StorageFaultPlan",
     "StorageFaultProfile",
-    "StorageRetryPolicy",
     "SupervisorPolicy",
     "SupervisorReport",
     "SyncAnalysis",

@@ -33,6 +33,7 @@ Durability rules:
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -43,11 +44,10 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.iosim import (
-    DEFAULT_STORAGE_RETRY,
+    WRITE_KINDS,
     current_storage_faults,
-    is_enospc,
     read_bytes as _seam_read_bytes,
-    transient_storage_error,
+    run_with_retries,
 )
 
 __all__ = [
@@ -97,52 +97,48 @@ def fsync_dir(path: Union[str, Path]) -> None:
         os.close(fd)
 
 
-def _inject_write_fault(decision, plan, target: Path, handle=None, data=b"") -> None:
-    """Raise (or sleep for) the injected fault at the right point of the
-    write sequence; no-op for stages the decision does not target."""
-    import errno as _errno
+#: The error each injected write fault raises at its stage of the
+#: temp → fsync → rename sequence (``slow`` only sleeps).
+_WRITE_ERRORS = {
+    "enospc": (errno.ENOSPC, "no space left on device"),
+    "eio": (errno.EIO, "write I/O error"),
+    "torn": (errno.EIO, "torn write after partial payload"),
+    "fsync": (errno.EIO, "fsync failure"),
+    "rename": (errno.EIO, "rename failure"),
+}
 
-    kind = decision.kind
-    plan.record(f"storage.faults.injected.{kind}")
+
+def _atomic_write_attempt(target: Path, data: bytes, plan, decision) -> None:
+    """One temp → fsync → rename → dir-fsync publish attempt; an injected
+    ``decision`` fails it at the stage its kind names."""
+    kind = decision.kind if decision is not None else None
+
+    def injected() -> OSError:
+        plan.record(f"storage.faults.injected.{kind}")
+        code, what = _WRITE_ERRORS[kind]
+        return OSError(code, f"injected: {what} ({target.name})")
+
     if kind == "slow":
+        plan.record("storage.faults.injected.slow")
         time.sleep(decision.seconds)
-    elif kind == "enospc":
-        raise OSError(
-            _errno.ENOSPC, f"injected: no space left on device ({target.name})"
-        )
-    elif kind == "eio":
-        raise OSError(_errno.EIO, f"injected: write I/O error ({target.name})")
-    elif kind == "torn":
-        handle.write(data[: int(len(data) * decision.fraction)])
-        handle.flush()
-        raise OSError(
-            _errno.EIO, f"injected: torn write after partial payload ({target.name})"
-        )
-    elif kind == "fsync":
-        raise OSError(_errno.EIO, f"injected: fsync failure ({target.name})")
-    elif kind == "rename":
-        raise OSError(_errno.EIO, f"injected: rename failure ({target.name})")
-
-
-def _atomic_write_attempt(target: Path, data: bytes, decision, plan) -> None:
-    """One temp → fsync → rename → dir-fsync publish attempt."""
-    if decision is not None and decision.kind in ("slow", "enospc", "eio"):
-        _inject_write_fault(decision, plan, target)
-        decision = None if decision.kind == "slow" else decision
+    elif kind in ("enospc", "eio"):
+        raise injected()
     fd, tmp_name = tempfile.mkstemp(
         dir=target.parent, prefix=target.name + ".", suffix=".tmp"
     )
     try:
         with os.fdopen(fd, "wb") as handle:
-            if decision is not None and decision.kind == "torn":
-                _inject_write_fault(decision, plan, target, handle=handle, data=data)
+            if kind == "torn":
+                handle.write(data[: int(len(data) * decision.fraction)])
+                handle.flush()
+                raise injected()
             handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
-            if decision is not None and decision.kind == "fsync":
-                _inject_write_fault(decision, plan, target)
-        if decision is not None and decision.kind == "rename":
-            _inject_write_fault(decision, plan, target)
+            if kind == "fsync":
+                raise injected()
+        if kind == "rename":
+            raise injected()
         os.replace(tmp_name, target)
     except BaseException:
         try:
@@ -173,35 +169,19 @@ def atomic_write_bytes(
     This is the storage fault seam for writes: when a
     :class:`~repro.core.iosim.StorageFaultPlan` is installed, each
     attempt draws a decision keyed by ``(component, op)``.  Transient
-    faults (EIO, fsync, rename, torn temp write) are retried under
-    :data:`~repro.core.iosim.DEFAULT_STORAGE_RETRY` with capped backoff
-    on the host clock; ``ENOSPC`` propagates immediately — a full disk
+    faults (EIO, fsync, rename, torn temp write) are retried by
+    :func:`~repro.core.iosim.run_with_retries` with capped backoff on
+    the host clock; ``ENOSPC`` propagates immediately — a full disk
     does not heal on retry, the campaign layer degrades instead.
     """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    plan = current_storage_faults()
-    policy = DEFAULT_STORAGE_RETRY
-    for attempt in range(1, policy.max_attempts + 1):
-        decision = plan.decide(component, op) if plan is not None else None
-        if decision is not None and decision.kind == "corrupt_read":
-            decision = None  # read-only fault kind; draw still consumed
-        try:
-            _atomic_write_attempt(target, data, decision, plan)
-        except OSError as exc:
-            if plan is not None and is_enospc(exc):
-                plan.record("storage.enospc")
-            if not transient_storage_error(exc):
-                raise
-            if attempt >= policy.max_attempts:
-                if plan is not None:
-                    plan.record("storage.retry_exhausted")
-                raise
-            if plan is not None:
-                plan.record("storage.retries")
-            time.sleep(policy.backoff(attempt))
-        else:
-            return
+    run_with_retries(
+        component,
+        op,
+        WRITE_KINDS,
+        lambda plan, decision: _atomic_write_attempt(target, data, plan, decision),
+    )
 
 
 def quarantine_path(path: Union[str, Path]) -> Optional[Path]:

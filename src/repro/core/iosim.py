@@ -13,10 +13,11 @@ established for network faults and
 :class:`~repro.core.parallel.WorkerFaultPlan` for worker faults:
 
 * a :class:`StorageFaultProfile` names the failure mix as per-operation
-  rates, with the same ``none`` / ``mild`` / ``harsh`` registry and
-  ``parse`` contract as :class:`~repro.netsim.faults.FaultProfile`;
+  rates — a table over the fault kernel (:mod:`repro.util.faults`),
+  with the same ``none`` / ``mild`` / ``harsh`` registry and ``parse``
+  contract as :class:`~repro.netsim.faults.FaultProfile`;
 * a :class:`StorageFaultPlan` turns the profile into concrete
-  :class:`StorageFaultDecision`\\ s drawn from
+  :class:`~repro.util.faults.FaultDecision`\\ s drawn from
   :class:`~repro.util.rng.StreamFamily` substreams derived from
   ``Seed.derive("storage")`` and keyed per ``(component, op)`` — the
   Nth write of a component/op pair gets the same decision in every run
@@ -68,18 +69,17 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from time import sleep as _host_sleep
-from typing import Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, TypeVar, Union
 
-from repro.util.rng import Seed, StreamFamily
+from repro.util.faults import Backoff, FaultDecision, FaultDraw, FaultTable
+from repro.util.rng import Seed
 
 __all__ = [
     "STORAGE_FAULT_KINDS",
     "STORAGE_FAULT_PROFILES",
     "DEFAULT_STORAGE_RETRY",
-    "StorageFaultDecision",
     "StorageFaultPlan",
     "StorageFaultProfile",
-    "StorageRetryPolicy",
     "current_storage_faults",
     "install_storage_faults",
     "is_enospc",
@@ -103,11 +103,13 @@ STORAGE_FAULT_KINDS = (
 )
 
 #: Kinds the write seam can act on (``corrupt_read`` is read-only) and
-#: kinds the read seam can act on.  A decision whose kind is outside the
+#: kinds a read site can act on (``corrupt_read`` only where the caller
+#: marks the site corruptible).  A decision whose kind is outside the
 #: site's set is a healthy operation — the draw is still consumed, so
 #: schedules stay deterministic across sites.
-_WRITE_KINDS = frozenset(("enospc", "eio", "fsync", "rename", "torn", "slow"))
-_READ_KINDS = frozenset(("eio", "slow", "corrupt_read"))
+WRITE_KINDS = frozenset(("enospc", "eio", "fsync", "rename", "torn", "slow"))
+_READ_KINDS = frozenset(("eio", "slow"))
+_CORRUPTIBLE_READ_KINDS = _READ_KINDS | {"corrupt_read"}
 
 #: Environment variable carrying an installed plan to spawned worker
 #: processes: ``"<profile>:<seed_root>"``.
@@ -115,7 +117,7 @@ _ENV_VAR = "REPRO_STORAGE_FAULTS"
 
 
 @dataclass(frozen=True)
-class StorageFaultProfile:
+class StorageFaultProfile(FaultTable):
     """A named mix of per-operation storage fault rates.
 
     Rates are independent probabilities partitioning each operation
@@ -123,7 +125,19 @@ class StorageFaultProfile:
     operation.  ``slow_seconds`` bounds the host-clock sleep a ``slow``
     decision injects; ``torn_fraction`` bounds how much of a torn
     write's payload lands before the failure.
+
+    :meth:`from_rate` splits one overall rate across the *transient*
+    kinds only (2:1:1:1:3:2 for eio : fsync : rename : torn : slow :
+    corrupt_read) — a disk that is deterministically full at some rate
+    would make "writes eventually succeed" a coin flip, so ``enospc`` is
+    opt-in via an explicit profile or :meth:`StorageFaultPlan.exhaust`.
+    :meth:`parse` resolves a ``--storage-faults`` value: a name from
+    :data:`STORAGE_FAULT_PROFILES`, a float rate, or ``rate:<x>``.
     """
+
+    KINDS = STORAGE_FAULT_KINDS
+    LABEL = "storage fault profile"
+    SPLIT = (0.0, 0.2, 0.1, 0.1, 0.1, 0.3, 0.2)
 
     name: str
     enospc_rate: float = 0.0
@@ -136,75 +150,14 @@ class StorageFaultProfile:
     slow_seconds: Tuple[float, float] = (0.0005, 0.003)
     torn_fraction: Tuple[float, float] = (0.1, 0.9)
 
-    def __post_init__(self) -> None:
-        for kind in STORAGE_FAULT_KINDS:
-            rate = getattr(self, f"{kind}_rate")
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{kind}_rate must be in [0, 1], got {rate}")
-        if self.total_rate > 1.0:
-            raise ValueError(
-                f"fault rates must sum to <= 1, got {self.total_rate}"
-            )
-        for field_name in ("slow_seconds", "torn_fraction"):
-            lo, hi = getattr(self, field_name)
-            if lo < 0 or hi < lo:
-                raise ValueError(
-                    f"{field_name} must be a (lo, hi) range, got "
-                    f"{getattr(self, field_name)}"
-                )
-
-    @property
-    def total_rate(self) -> float:
-        return sum(
-            getattr(self, f"{kind}_rate") for kind in STORAGE_FAULT_KINDS
-        )
-
-    @property
-    def enabled(self) -> bool:
-        """Whether this profile can ever inject a fault."""
-        return self.total_rate > 0.0
-
-    @classmethod
-    def from_rate(cls, rate: float) -> "StorageFaultProfile":
-        """A custom profile from one overall fault rate.
-
-        The rate is split across the *transient* kinds only (2:1:1:1:3:2
-        for eio : fsync : rename : torn : slow : corrupt_read) — a disk
-        that is deterministically full at some rate would make "writes
-        eventually succeed" a coin flip, so ``enospc`` is opt-in via an
-        explicit profile or :meth:`StorageFaultPlan.exhaust`.
-        """
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"fault rate must be in [0, 1], got {rate}")
-        return cls(
-            name=f"rate:{rate:g}",
-            eio_rate=rate * 0.2,
-            fsync_rate=rate * 0.1,
-            rename_rate=rate * 0.1,
-            torn_rate=rate * 0.1,
-            slow_rate=rate * 0.3,
-            corrupt_read_rate=rate * 0.2,
-        )
-
-    @classmethod
-    def parse(cls, text: Union[str, "StorageFaultProfile"]) -> "StorageFaultProfile":
-        """Resolve a ``--storage-faults`` value: a profile name or rate."""
-        if isinstance(text, StorageFaultProfile):
-            return text
-        key = str(text).strip().lower()
-        profile = STORAGE_FAULT_PROFILES.get(key)
-        if profile is not None:
-            return profile
-        if key.startswith("rate:"):
-            key = key[len("rate:"):]
-        try:
-            rate = float(key)
-        except ValueError:
-            raise ValueError(
-                f"unknown storage fault profile {text!r}: expected one of "
-                f"{sorted(STORAGE_FAULT_PROFILES)} or a float rate in [0, 1]"
-            ) from None
-        return cls.from_rate(rate)
+    def parameters(self) -> Dict[str, Tuple[str, object]]:
+        # A corrupt read flips a bit at a uniform position in the
+        # payload's first bytes.
+        return {
+            "slow": ("seconds", self.slow_seconds),
+            "torn": ("fraction", self.torn_fraction),
+            "corrupt_read": ("fraction", (0.0, 1.0)),
+        }
 
 
 #: The named profiles the CLI exposes.  ``mild`` keeps a small campaign
@@ -232,83 +185,30 @@ STORAGE_FAULT_PROFILES: Dict[str, StorageFaultProfile] = {
         corrupt_read_rate=0.04,
     ),
 }
-
-
-@dataclass(frozen=True)
-class StorageFaultDecision:
-    """One injected storage fault.
-
-    ``seconds`` is the host-clock sleep of a ``slow`` decision;
-    ``fraction`` parameterizes the payload-dependent kinds (how much of
-    a torn write lands; where in the first bytes a corrupt read flips).
-    """
-
-    kind: str  # one of STORAGE_FAULT_KINDS
-    seconds: float = 0.0
-    fraction: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in STORAGE_FAULT_KINDS:
-            raise ValueError(f"unknown storage fault kind: {self.kind!r}")
-        if self.seconds < 0:
-            raise ValueError(f"fault seconds must be >= 0, got {self.seconds}")
-        if not 0.0 <= self.fraction <= 1.0:
-            raise ValueError(
-                f"fault fraction must be in [0, 1], got {self.fraction}"
-            )
-
-
-@dataclass(frozen=True)
-class StorageRetryPolicy:
-    """Capped exponential backoff for transient storage faults.
-
-    Unlike the network :class:`~repro.netsim.faults.RetryPolicy`, this
-    backs off on the **host** clock — storage latency is harness
-    latency, and must never advance the simulated world.  Deterministic
-    (no jitter) and deliberately tiny: the point is to survive
-    transient faults, not to model disk recovery times.
-    """
-
-    max_attempts: int = 4
-    base_backoff: float = 0.002
-    multiplier: float = 2.0
-    max_backoff: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.base_backoff < 0 or self.max_backoff < 0:
-            raise ValueError("backoff durations must be >= 0")
-        if self.multiplier < 1.0:
-            raise ValueError(f"multiplier must be >= 1, got {self.multiplier}")
-
-    def backoff(self, retry_number: int) -> float:
-        """Host seconds to wait before retry ``retry_number`` (1-based)."""
-        if retry_number < 1:
-            raise ValueError(f"retry_number is 1-based, got {retry_number}")
-        return min(
-            self.base_backoff * self.multiplier ** (retry_number - 1),
-            self.max_backoff,
-        )
+StorageFaultProfile.REGISTRY = STORAGE_FAULT_PROFILES
 
 
 #: The seam-wide policy: every atomic write and seam read retries
-#: transient faults under this budget before giving up.
-DEFAULT_STORAGE_RETRY = StorageRetryPolicy()
+#: transient faults under this budget before giving up.  It backs off on
+#: the **host** clock — storage latency is harness latency, and must
+#: never advance the simulated world — and is deliberately tiny: the
+#: point is to survive transient faults, not to model disk recovery.
+DEFAULT_STORAGE_RETRY = Backoff(
+    max_attempts=4, base_backoff=0.002, multiplier=2.0, max_backoff=0.05
+)
 
 
-class StorageFaultPlan:
+class StorageFaultPlan(FaultDraw):
     """Seeded per-``(component, op)`` storage fault schedule.
 
     Every seam operation draws one decision from the stream named by
     its component (``"checkpoint"``, ``"segments"``, ``"cache"``,
     ``"jobs"``) and operation (``"shard"``, ``"segment"``, ``"marker"``,
-    ``"index"``, ``"digest-cache"``, ``"manifest"``, ``"state"``, …).
-    Because each pair owns an independent substream, a component's Nth
-    operation of a kind gets the same decision in every run of the same
-    seed — regardless of what other components interleave with it.
+    ``"index"``, ``"digest-cache"``, ``"manifest"``, ``"state"``, …) off
+    ``seed.derive("storage")``.  Because each pair owns an independent
+    substream, a component's Nth operation of a kind gets the same
+    decision in every run of the same seed — regardless of what other
+    components interleave with it.
 
     Thread-safe: worker threads of a parallel campaign share one plan.
     Counters (:meth:`snapshot`) are process-local — faults injected
@@ -318,14 +218,9 @@ class StorageFaultPlan:
     def __init__(self, seed: Seed, profile: StorageFaultProfile) -> None:
         self.seed = seed
         self.profile = profile
-        self._streams = StreamFamily(seed.derive("storage"), profile.name)
+        super().__init__(profile, seed, "storage", profile.name)
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {}
-        #: ``(component, op) -> threshold``: operations beyond the
-        #: threshold fail with ENOSPC (op ``None`` matches every op of
-        #: the component).  See :meth:`exhaust`.
-        self._exhaust: Dict[Tuple[str, Optional[str]], int] = {}
-        self._calls: Dict[Tuple[str, str], int] = {}
 
     @classmethod
     def from_profile(
@@ -336,45 +231,10 @@ class StorageFaultPlan:
         root = seed if isinstance(seed, Seed) else Seed(seed)
         return cls(root, resolved)
 
-    # ------------------------------------------------------------------ #
-    # Decisions
-    # ------------------------------------------------------------------ #
-
-    def decide(self, component: str, op: str) -> Optional[StorageFaultDecision]:
+    def decide(self, component: str, op: str) -> Optional[FaultDecision]:
         """The fault (if any) for this component's next ``op``."""
         with self._lock:
-            key = (component, op)
-            self._calls[key] = self._calls.get(key, 0) + 1
-            threshold = self._exhaust.get((component, op))
-            if threshold is None:
-                threshold = self._exhaust.get((component, None))
-            if threshold is not None and self._calls[key] > threshold:
-                return StorageFaultDecision("enospc")
-            profile = self.profile
-            if not profile.enabled:
-                return None
-            stream = self._streams.stream(component, op)
-            draw = stream.random()
-            edge = 0.0
-            for kind in STORAGE_FAULT_KINDS:
-                edge += getattr(profile, f"{kind}_rate")
-                if draw < edge:
-                    if kind == "slow":
-                        lo, hi = profile.slow_seconds
-                        return StorageFaultDecision(
-                            "slow", seconds=stream.uniform(lo, hi)
-                        )
-                    if kind == "torn":
-                        lo, hi = profile.torn_fraction
-                        return StorageFaultDecision(
-                            "torn", fraction=stream.uniform(lo, hi)
-                        )
-                    if kind == "corrupt_read":
-                        return StorageFaultDecision(
-                            "corrupt_read", fraction=stream.random()
-                        )
-                    return StorageFaultDecision(kind)
-            return None
+            return super().decide(component, op)
 
     def exhaust(
         self, component: str, op: Optional[str] = None, *, after: int = 0
@@ -385,10 +245,8 @@ class StorageFaultPlan:
         ``op=None`` exhausts every operation of the component.  Returns
         ``self`` so tests can chain it off the constructor.
         """
-        if after < 0:
-            raise ValueError(f"after must be >= 0, got {after}")
         with self._lock:
-            self._exhaust[(component, op)] = after
+            self.override((component, op), "enospc", after=after)
         return self
 
     # ------------------------------------------------------------------ #
@@ -432,19 +290,39 @@ def install_storage_faults(
 
     ``plan`` may be a ready :class:`StorageFaultPlan`, or a profile
     name/rate (resolved with ``seed``).  With ``propagate=True`` the
-    profile and seed are exported via ``REPRO_STORAGE_FAULTS`` so
+    profile name and seed are exported via ``REPRO_STORAGE_FAULTS`` so
     spawned worker processes bootstrap an equivalent plan (fork-started
-    workers inherit the installed plan either way).  Returns the
-    installed plan.
+    workers inherit the installed plan either way); a plan those two
+    values cannot rebuild — a custom profile, an :meth:`exhaust
+    <StorageFaultPlan.exhaust>` schedule — raises ``ValueError``.
+    Returns the installed plan.
     """
     global _active_plan
     if not isinstance(plan, StorageFaultPlan):
         plan = StorageFaultPlan.from_profile(plan, seed)
+    env = _env_value(plan) if propagate else None
     with _install_lock:
         _active_plan = plan
-        if propagate:
-            os.environ[_ENV_VAR] = f"{plan.profile.name}:{plan.seed.root}"
+        if env is not None:
+            os.environ[_ENV_VAR] = env
     return plan
+
+
+def _env_value(plan: StorageFaultPlan) -> str:
+    """The ``REPRO_STORAGE_FAULTS`` value a spawned worker rebuilds
+    ``plan`` from; raises when the rebuilt plan would differ."""
+    try:
+        same = StorageFaultProfile.parse(plan.profile.name) == plan.profile
+    except ValueError:
+        same = False
+    if not same or plan.overridden:
+        raise ValueError(
+            f"storage fault plan {plan.profile.name!r} cannot propagate: a "
+            "spawned worker rebuilds its plan from the profile name and "
+            "seed alone, so a custom profile or an exhaust() schedule "
+            "would not reach it"
+        )
+    return f"{plan.profile.name}:{plan.seed.root}"
 
 
 def uninstall_storage_faults() -> None:
@@ -566,13 +444,52 @@ def _corrupt(data: bytes, fraction: float) -> bytes:
     return bytes(corrupted)
 
 
+T = TypeVar("T")
+
+
+def run_with_retries(
+    component: str,
+    op: str,
+    kinds: frozenset,
+    attempt: Callable[[Optional[StorageFaultPlan], Optional[FaultDecision]], T],
+) -> T:
+    """Run one seam operation under :data:`DEFAULT_STORAGE_RETRY`.
+
+    Each try draws the installed plan's decision for ``(component,
+    op)`` — a kind outside ``kinds`` counts as healthy — and calls
+    ``attempt(plan, decision)``.  Transient errors are retried with
+    capped backoff on the host clock; anything else, ``ENOSPC``
+    included, propagates at once.
+    """
+    plan = current_storage_faults()
+    retry = DEFAULT_STORAGE_RETRY
+    for number in range(1, retry.max_attempts + 1):
+        decision = plan.decide(component, op) if plan is not None else None
+        if decision is not None and decision.kind not in kinds:
+            decision = None
+        try:
+            return attempt(plan, decision)
+        except OSError as exc:
+            if plan is not None and is_enospc(exc):
+                plan.record("storage.enospc")
+            if not transient_storage_error(exc):
+                raise
+            if number == retry.max_attempts:
+                if plan is not None:
+                    plan.record("storage.retry_exhausted")
+                raise
+            if plan is not None:
+                plan.record("storage.retries")
+            _host_sleep(retry.backoff(number))
+    raise AssertionError("unreachable: the last try returns or raises")
+
+
 def read_bytes(
     path: Union[str, Path],
     *,
     component: str,
     op: str = "read",
     corruptible: bool = False,
-    retry: StorageRetryPolicy = DEFAULT_STORAGE_RETRY,
 ) -> bytes:
     """Read a file through the storage fault seam.
 
@@ -586,43 +503,22 @@ def read_bytes(
     result, not a fault.
     """
     target = Path(path)
-    plan = current_storage_faults()
-    last: Optional[OSError] = None
-    for attempt in range(1, retry.max_attempts + 1):
-        decision = plan.decide(component, op) if plan is not None else None
-        if decision is not None and decision.kind not in _READ_KINDS:
-            decision = None
-        try:
-            if decision is not None:
-                if decision.kind == "slow":
-                    plan.record("storage.faults.injected.slow")
-                    _host_sleep(decision.seconds)
-                elif decision.kind == "eio":
-                    plan.record("storage.faults.injected.eio")
-                    raise OSError(
-                        errno.EIO, f"injected: read I/O error ({target.name})"
-                    )
-            data = target.read_bytes()
-            if (
-                decision is not None
-                and decision.kind == "corrupt_read"
-                and corruptible
-            ):
-                plan.record("storage.faults.injected.corrupt_read")
-                data = _corrupt(data, decision.fraction)
-            return data
-        except OSError as exc:
-            if not transient_storage_error(exc):
-                raise
-            last = exc
-            if attempt >= retry.max_attempts:
-                if plan is not None:
-                    plan.record("storage.retry_exhausted")
-                raise
-            if plan is not None:
-                plan.record("storage.retries")
-            _host_sleep(retry.backoff(attempt))
-    raise last  # pragma: no cover - loop always returns or raises
+
+    def attempt(plan, decision) -> bytes:
+        if decision is not None and decision.kind == "slow":
+            plan.record("storage.faults.injected.slow")
+            _host_sleep(decision.seconds)
+        elif decision is not None and decision.kind == "eio":
+            plan.record("storage.faults.injected.eio")
+            raise OSError(errno.EIO, f"injected: read I/O error ({target.name})")
+        data = target.read_bytes()
+        if decision is not None and decision.kind == "corrupt_read":
+            plan.record("storage.faults.injected.corrupt_read")
+            data = _corrupt(data, decision.fraction)
+        return data
+
+    kinds = _CORRUPTIBLE_READ_KINDS if corruptible else _READ_KINDS
+    return run_with_retries(component, op, kinds, attempt)
 
 
 def read_text(

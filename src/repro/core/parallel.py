@@ -91,7 +91,8 @@ from repro.core.personas import Persona, all_personas, scaled_roster
 from repro.core.world import build_config_world, build_world
 from repro.data.websites import WebsiteSpec
 from repro.obs import ObsCollector, merge_collectors
-from repro.util.rng import Seed, StreamFamily
+from repro.util.faults import FaultDraw, FaultTable
+from repro.util.rng import Seed
 
 __all__ = [
     "BACKENDS",
@@ -101,7 +102,6 @@ __all__ = [
     "ShardResult",
     "SupervisorPolicy",
     "SupervisorReport",
-    "WorkerFaultDecision",
     "WorkerFaultPlan",
     "parallel_map",
     "shard_personas",
@@ -340,17 +340,18 @@ def merge_shard_results(
 
 
 @dataclass(frozen=True)
-class WorkerFaultDecision:
-    """One injected worker fault: what goes wrong for this attempt."""
+class _WorkerFaultRates(FaultTable):
+    """The worker domain's rate table (no registry: callers pass rates)."""
 
-    kind: str  # one of WORKER_FAULT_KINDS
+    KINDS = WORKER_FAULT_KINDS
 
-    def __post_init__(self) -> None:
-        if self.kind not in WORKER_FAULT_KINDS:
-            raise ValueError(f"unknown worker fault kind: {self.kind!r}")
+    crash_rate: float = 0.0
+    hang_rate: float = 0.0
+    poison_rate: float = 0.0
+    hang_seconds: float = 3600.0
 
 
-class WorkerFaultPlan:
+class WorkerFaultPlan(FaultDraw):
     """Seeded per-``(shard, attempt)`` worker fault schedule.
 
     Mirrors :class:`~repro.netsim.faults.FaultPlan` one level up the
@@ -378,36 +379,11 @@ class WorkerFaultPlan:
         hang_seconds: float = 3600.0,
         schedule: Optional[Dict[Tuple[int, int], str]] = None,
     ) -> None:
-        for kind, rate in (
-            ("crash", crash_rate),
-            ("hang", hang_rate),
-            ("poison", poison_rate),
-        ):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{kind}_rate must be in [0, 1], got {rate}")
-        if crash_rate + hang_rate + poison_rate > 1.0:
-            raise ValueError("worker fault rates must sum to <= 1")
-        if hang_seconds <= 0:
-            raise ValueError("hang_seconds must be positive")
-        self.crash_rate = crash_rate
-        self.hang_rate = hang_rate
-        self.poison_rate = poison_rate
+        rates = _WorkerFaultRates(crash_rate, hang_rate, poison_rate, hang_seconds)
+        super().__init__(rates, seed, "supervisor", "worker-faults")
         self.hang_seconds = hang_seconds
-        self.schedule: Optional[Dict[Tuple[int, int], str]] = None
-        if schedule is not None:
-            normalised: Dict[Tuple[int, int], str] = {}
-            for (shard_index, attempt), kind in schedule.items():
-                if kind not in WORKER_FAULT_KINDS:
-                    raise ValueError(f"unknown worker fault kind: {kind!r}")
-                normalised[(int(shard_index), int(attempt))] = kind
-            self.schedule = normalised
-        self._streams: Optional[StreamFamily] = None
-        if self.schedule is None and crash_rate + hang_rate + poison_rate > 0:
-            if seed is None:
-                raise ValueError("rate-based worker faults require a seed")
-            self._streams = StreamFamily(
-                seed.derive("supervisor"), "worker-faults"
-            )
+        for (shard_index, attempt), kind in (schedule or {}).items():
+            self.override((int(shard_index), int(attempt)), kind)
 
     @classmethod
     def targeted(
@@ -421,33 +397,6 @@ class WorkerFaultPlan:
         first attempt and leaves its retry healthy.
         """
         return cls(schedule=schedule, hang_seconds=hang_seconds)
-
-    @property
-    def enabled(self) -> bool:
-        if self.schedule is not None:
-            return bool(self.schedule)
-        return self.crash_rate + self.hang_rate + self.poison_rate > 0
-
-    def decide(
-        self, shard_index: int, attempt: int
-    ) -> Optional[WorkerFaultDecision]:
-        """The fault (if any) for this shard attempt (attempts 1-based)."""
-        if self.schedule is not None:
-            kind = self.schedule.get((shard_index, attempt))
-            return WorkerFaultDecision(kind) if kind is not None else None
-        if self._streams is None:
-            return None
-        draw = self._streams.stream(shard_index, attempt).random()
-        edge = self.crash_rate
-        if draw < edge:
-            return WorkerFaultDecision("crash")
-        edge += self.hang_rate
-        if draw < edge:
-            return WorkerFaultDecision("hang")
-        edge += self.poison_rate
-        if draw < edge:
-            return WorkerFaultDecision("poison")
-        return None
 
 
 # ---------------------------------------------------------------------- #
@@ -536,6 +485,14 @@ class SupervisorReport:
         )
 
 
+def _fault_kind(
+    fault_plan: Optional[WorkerFaultPlan], shard_index: int, attempt: int
+) -> Optional[str]:
+    """The injected fault kind for this shard attempt, if any."""
+    decision = fault_plan.decide(shard_index, attempt) if fault_plan else None
+    return decision.kind if decision is not None else None
+
+
 def _thread_worker(
     journal: ShardJournal,
     shard_index: int,
@@ -560,24 +517,20 @@ def _thread_worker(
     journal stays the durable record, the box is just the fast channel.
     """
     try:
-        decision = (
-            fault_plan.decide(shard_index, attempt)
-            if fault_plan is not None
-            else None
-        )
-        if decision is not None and decision.kind == "crash":
+        kind = _fault_kind(fault_plan, shard_index, attempt)
+        if kind == "crash":
             journal.write_error(
                 shard_index, f"injected worker crash (attempt {attempt})"
             )
             return
-        if decision is not None and decision.kind == "hang":
+        if kind == "hang":
             cancel_event.wait(fault_plan.hang_seconds)
             if cancel_event.is_set():
                 return
         result = shard_fn(shard_index, seed, config, persona_names, collect_obs)
         if cancel_event.is_set():
             return
-        if decision is not None and decision.kind == "poison":
+        if kind == "poison":
             atomic_write_bytes(journal.shard_path(shard_index), _POISON_BYTES)
             return
         journal.write_shard(shard_index, result)
@@ -617,17 +570,13 @@ def _process_worker(
     """
     gc.freeze()
     try:
-        decision = (
-            fault_plan.decide(shard_index, attempt)
-            if fault_plan is not None
-            else None
-        )
-        if decision is not None and decision.kind == "crash":
+        kind = _fault_kind(fault_plan, shard_index, attempt)
+        if kind == "crash":
             os._exit(_CRASH_EXIT_CODE)  # die before publishing anything
-        if decision is not None and decision.kind == "hang":
+        if kind == "hang":
             time.sleep(fault_plan.hang_seconds)
         result = shard_fn(shard_index, seed, config, persona_names, collect_obs)
-        if decision is not None and decision.kind == "poison":
+        if kind == "poison":
             atomic_write_bytes(journal.shard_path(shard_index), _POISON_BYTES)
             return
         journal.write_shard(shard_index, result)

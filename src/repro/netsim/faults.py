@@ -10,7 +10,7 @@ simulation's reproducibility contract:
 
 * a :class:`FaultProfile` names the failure mix (DNS NXDOMAIN,
   connection timeouts, 5xx responses, slow responses) as per-request
-  rates;
+  rates — a table over the fault kernel (:mod:`repro.util.faults`);
 * a :class:`FaultPlan` turns the profile into concrete per-request
   :class:`FaultDecision`\\ s.  Decisions are drawn from
   :class:`~repro.util.rng.StreamFamily` substreams keyed by
@@ -32,7 +32,8 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.netsim.http import HttpResponse
 from repro.util.clock import SimClock
-from repro.util.rng import Seed, StreamFamily
+from repro.util.faults import Backoff, FaultDecision, FaultDraw, FaultTable
+from repro.util.rng import Seed
 
 __all__ = [
     "FAULT_KINDS",
@@ -49,9 +50,12 @@ __all__ = [
 #: would reshuffle every seeded fault schedule).
 FAULT_KINDS = ("nxdomain", "timeout", "http_5xx", "slow")
 
+#: Sim seconds a failed DNS resolution costs the client.
+DNS_FAILURE_SECONDS = 0.05
+
 
 @dataclass(frozen=True)
-class FaultProfile:
+class FaultProfile(FaultTable):
     """A named mix of per-request fault rates.
 
     Rates are independent probabilities partitioning each request draw:
@@ -59,7 +63,16 @@ class FaultProfile:
     ``timeout_seconds`` is the connect timeout a client burns before a
     timed-out request fails; slow responses inflate service latency by
     an extra delay drawn uniformly from ``slow_extra_seconds``.
+
+    :meth:`from_rate` splits one overall rate 1:2:3:4 (nxdomain :
+    timeout : 5xx : slow) — rarest first, mirroring how the named
+    profiles weight hard failures below soft ones.  :meth:`parse`
+    resolves a ``--faults`` value: a name from :data:`FAULT_PROFILES`,
+    a float rate, or the ``rate:<x>`` name :meth:`from_rate` gives.
     """
+
+    KINDS = FAULT_KINDS
+    SPLIT = (0.1, 0.2, 0.3, 0.4)
 
     name: str
     nxdomain_rate: float = 0.0
@@ -69,73 +82,14 @@ class FaultProfile:
     timeout_seconds: float = 2.0
     slow_extra_seconds: Tuple[float, float] = (0.2, 2.0)
 
-    def __post_init__(self) -> None:
-        for kind in FAULT_KINDS:
-            rate = getattr(self, f"{kind}_rate")
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{kind}_rate must be in [0, 1], got {rate}")
-        if self.total_rate > 1.0:
-            raise ValueError(
-                f"fault rates must sum to <= 1, got {self.total_rate}"
-            )
-        if self.timeout_seconds <= 0:
-            raise ValueError("timeout_seconds must be positive")
-        lo, hi = self.slow_extra_seconds
-        if lo < 0 or hi < lo:
-            raise ValueError(
-                f"slow_extra_seconds must be a (lo, hi) range, got "
-                f"{self.slow_extra_seconds}"
-            )
-
-    @property
-    def total_rate(self) -> float:
-        return (
-            self.nxdomain_rate
-            + self.timeout_rate
-            + self.http_5xx_rate
-            + self.slow_rate
-        )
-
-    @property
-    def enabled(self) -> bool:
-        """Whether this profile can ever inject a fault."""
-        return self.total_rate > 0.0
-
-    @classmethod
-    def from_rate(cls, rate: float) -> "FaultProfile":
-        """A custom profile from one overall fault rate.
-
-        The rate is split across kinds in a fixed 1:2:3:4 ratio
-        (nxdomain : timeout : 5xx : slow) — rarest first, mirroring how
-        the named profiles weight hard failures below soft ones.
-        """
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"fault rate must be in [0, 1], got {rate}")
-        return cls(
-            name=f"rate:{rate:g}",
-            nxdomain_rate=rate * 0.1,
-            timeout_rate=rate * 0.2,
-            http_5xx_rate=rate * 0.3,
-            slow_rate=rate * 0.4,
-        )
-
-    @classmethod
-    def parse(cls, text: str) -> "FaultProfile":
-        """Resolve a ``--faults`` value: a profile name or a float rate."""
-        if isinstance(text, FaultProfile):
-            return text
-        key = str(text).strip().lower()
-        profile = FAULT_PROFILES.get(key)
-        if profile is not None:
-            return profile
-        try:
-            rate = float(key)
-        except ValueError:
-            raise ValueError(
-                f"unknown fault profile {text!r}: expected one of "
-                f"{sorted(FAULT_PROFILES)} or a float rate in [0, 1]"
-            ) from None
-        return cls.from_rate(rate)
+    def parameters(self) -> Dict[str, Tuple[str, object]]:
+        # Sim seconds each fault burns: the failed-resolution round trip,
+        # the connect timeout, the extra service latency of a slow reply.
+        return {
+            "nxdomain": ("seconds", DNS_FAILURE_SECONDS),
+            "timeout": ("seconds", self.timeout_seconds),
+            "slow": ("seconds", self.slow_extra_seconds),
+        }
 
 
 #: The named profiles the CLI exposes.  ``mild`` keeps a small campaign
@@ -158,101 +112,38 @@ FAULT_PROFILES: Dict[str, FaultProfile] = {
         slow_rate=0.12,
     ),
 }
+FaultProfile.REGISTRY = FAULT_PROFILES
 
 
-@dataclass(frozen=True)
-class FaultDecision:
-    """One injected fault: what goes wrong and how much sim time it burns."""
-
-    kind: str  # one of FAULT_KINDS
-    #: Simulated seconds the fault consumes: the connect timeout for
-    #: ``timeout``, the failed-resolution round trip for ``nxdomain``,
-    #: the extra service latency for ``slow``/``http_5xx``.
-    seconds: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
-            raise ValueError(f"unknown fault kind: {self.kind!r}")
-        if self.seconds < 0:
-            raise ValueError(f"fault seconds must be >= 0, got {self.seconds}")
-
-
-#: Sim seconds a failed DNS resolution costs the client.
-DNS_FAILURE_SECONDS = 0.05
-
-
-class FaultPlan:
+class FaultPlan(FaultDraw):
     """Seeded per-``(actor, domain)`` fault schedule for one world.
 
-    Every request attempt draws one decision from the stream named by
-    the requesting actor (device id or browser profile id) and the
-    target domain.  Because each ``(actor, domain)`` pair owns an
-    independent substream, an actor's Nth request to a domain gets the
-    same decision in every run of the same seed — regardless of what
+    Every request attempt calls :meth:`decide` once with the requesting
+    actor (device id or browser profile id) and the target domain, and
+    gets ``None`` for a healthy request.  Because each ``(actor,
+    domain)`` pair owns an independent substream of
+    ``seed.derive("faults")``, an actor's Nth request to a domain gets
+    the same decision in every run of the same seed — regardless of what
     other actors are doing, which is what keeps fault schedules
     invariant across persona shards.
     """
 
     def __init__(self, seed: Seed, profile: FaultProfile) -> None:
         self.profile = profile
-        self._streams = StreamFamily(seed.derive("faults"), profile.name)
-
-    def decide(self, actor: str, domain: str) -> Optional[FaultDecision]:
-        """The fault (if any) for this actor's next request to ``domain``."""
-        profile = self.profile
-        if not profile.enabled:
-            return None
-        stream = self._streams.stream(actor, domain)
-        draw = stream.random()
-        edge = profile.nxdomain_rate
-        if draw < edge:
-            return FaultDecision("nxdomain", seconds=DNS_FAILURE_SECONDS)
-        edge += profile.timeout_rate
-        if draw < edge:
-            return FaultDecision("timeout", seconds=profile.timeout_seconds)
-        edge += profile.http_5xx_rate
-        if draw < edge:
-            return FaultDecision("http_5xx", seconds=0.0)
-        edge += profile.slow_rate
-        if draw < edge:
-            lo, hi = profile.slow_extra_seconds
-            return FaultDecision("slow", seconds=stream.uniform(lo, hi))
-        return None
+        super().__init__(profile, seed, "faults", profile.name)
 
 
 @dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(Backoff):
     """Capped exponential backoff over the simulated clock.
 
-    ``max_attempts`` counts the initial try; backoff before retry *n*
-    (1-based) is ``min(base_backoff * multiplier**(n-1), max_backoff)``
-    simulated seconds.  Deterministic — no jitter — so retry timelines
-    reproduce from the seed alone.
+    A :class:`~repro.util.faults.Backoff` whose :meth:`call` advances the
+    :class:`~repro.util.clock.SimClock` by each wait — library code never
+    sleeps on the host clock.
     """
 
-    max_attempts: int = 3
-    base_backoff: float = 0.5
-    multiplier: float = 2.0
-    max_backoff: float = 4.0
     #: Response statuses treated as transient failures worth retrying.
     retry_statuses: Tuple[int, ...] = (500, 502, 503, 504)
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.base_backoff < 0 or self.max_backoff < 0:
-            raise ValueError("backoff durations must be >= 0")
-        if self.multiplier < 1.0:
-            raise ValueError(f"multiplier must be >= 1, got {self.multiplier}")
-
-    def backoff(self, retry_number: int) -> float:
-        """Sim seconds to wait before retry ``retry_number`` (1-based)."""
-        if retry_number < 1:
-            raise ValueError(f"retry_number is 1-based, got {retry_number}")
-        return min(
-            self.base_backoff * self.multiplier ** (retry_number - 1),
-            self.max_backoff,
-        )
 
     def call(
         self,

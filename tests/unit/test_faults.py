@@ -1,7 +1,13 @@
 """Tests for seeded fault injection and the client retry policy."""
 
+import dataclasses
+import math
+
 import pytest
 
+from repro.core.campaign import CampaignSpec
+from repro.core.experiment import ExperimentConfig
+from repro.core.world import build_config_world
 from repro.netsim.endpoints import EndpointRegistry
 from repro.netsim.faults import (
     DEFAULT_RETRY_POLICY,
@@ -307,3 +313,49 @@ class TestFailureObservability:
                 "echo-1", HttpRequest("GET", "https://known.example.com/")
             )
         assert clock.now > DNS_FAILURE_SECONDS
+
+
+class TestRateProfileName:
+    """A float ``--faults`` value is normalised to ``rate:<x>``; that
+    name must resolve everywhere the config carries it."""
+
+    def test_rate_name_survives_replace_spec_round_trip_and_world(self):
+        config = ExperimentConfig(fault_profile="0.05")
+        assert config.fault_profile == "rate:0.05"
+        config = dataclasses.replace(config, skills_per_persona=2)
+        spec = CampaignSpec(config=config, seed=7)
+        restored = CampaignSpec.from_json(spec.to_json())
+        assert restored == spec
+        world = build_config_world(Seed(7), restored.config)
+        assert world.fault_plan.profile == FaultProfile.from_rate(0.05)
+
+    def test_rate_name_parses_to_from_rate(self):
+        assert FaultProfile.parse("rate:0.05") == FaultProfile.from_rate(0.05)
+        with pytest.raises(ValueError, match="unknown fault profile"):
+            FaultProfile.parse("rate:lots")
+
+
+class TestDurationValidation:
+    """Bad durations fail at construction, not at draw time."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0])
+    def test_timeout_seconds(self, bad):
+        with pytest.raises(ValueError, match="timeout_seconds"):
+            FaultProfile(name="bad", timeout_seconds=bad)
+
+    @pytest.mark.parametrize(
+        "bad", [(math.nan, 1.0), (0.1, math.inf), (-0.1, 1.0), (2.0, 1.0)]
+    )
+    def test_slow_extra_seconds(self, bad):
+        with pytest.raises(ValueError, match="slow_extra_seconds"):
+            FaultProfile(name="bad", slow_extra_seconds=bad)
+
+    @pytest.mark.parametrize("field", ["base_backoff", "max_backoff"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+    def test_retry_backoff(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            RetryPolicy(**{field: bad})
+
+    def test_retry_multiplier_must_be_finite(self):
+        with pytest.raises(ValueError, match="multiplier"):
+            RetryPolicy(multiplier=math.inf)

@@ -3,6 +3,8 @@ hardened atomic-write seam it drives (repro.core.checkpoint)."""
 
 import errno
 import json
+import math
+import os
 
 import pytest
 
@@ -11,10 +13,8 @@ from repro.core.iosim import (
     DEFAULT_STORAGE_RETRY,
     STORAGE_FAULT_KINDS,
     STORAGE_FAULT_PROFILES,
-    StorageFaultDecision,
     StorageFaultPlan,
     StorageFaultProfile,
-    StorageRetryPolicy,
     current_storage_faults,
     install_storage_faults,
     is_enospc,
@@ -24,6 +24,7 @@ from repro.core.iosim import (
     transient_storage_error,
     uninstall_storage_faults,
 )
+from repro.util.faults import Backoff, FaultDecision
 from repro.util.rng import Seed
 
 
@@ -59,8 +60,8 @@ class TestProfiles:
             StorageFaultProfile(name="bad", eio_rate=0.6, slow_rate=0.6)
         with pytest.raises(ValueError, match="torn_fraction"):
             StorageFaultProfile(name="bad", torn_fraction=(0.9, 0.1))
-        with pytest.raises(ValueError, match="unknown storage fault kind"):
-            StorageFaultDecision("gremlin")
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            FaultDecision("gremlin")
 
     def test_from_rate_splits_across_transient_kinds_only(self):
         profile = StorageFaultProfile.from_rate(0.5)
@@ -70,7 +71,7 @@ class TestProfiles:
 
 class TestRetryPolicy:
     def test_backoff_is_capped_exponential(self):
-        policy = StorageRetryPolicy(
+        policy = Backoff(
             max_attempts=5, base_backoff=0.002, multiplier=2.0, max_backoff=0.005
         )
         assert [policy.backoff(n) for n in (1, 2, 3, 4)] == [
@@ -84,9 +85,9 @@ class TestRetryPolicy:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            StorageRetryPolicy(max_attempts=0)
+            Backoff(max_attempts=0)
         with pytest.raises(ValueError):
-            StorageRetryPolicy(multiplier=0.5)
+            Backoff(multiplier=0.5)
 
 
 class TestPlanDecisions:
@@ -323,3 +324,60 @@ class TestQuarantine:
 
     def test_quarantine_missing_file_returns_none(self, tmp_path):
         assert quarantine_path(tmp_path / "ghost") is None
+
+
+class TestRangeValidation:
+    """Bad ranges fail at construction, not inside the write seam."""
+
+    @pytest.mark.parametrize(
+        "bad", [(0.5, 2.0), (-0.1, 0.5), (math.nan, 0.5), (0.9, 0.1)]
+    )
+    def test_torn_fraction_must_lie_in_unit_interval(self, bad):
+        with pytest.raises(ValueError, match="torn_fraction"):
+            StorageFaultProfile(name="bad", torn_rate=0.5, torn_fraction=bad)
+
+    @pytest.mark.parametrize("bad", [(0.001, math.inf), (math.nan, 0.1)])
+    def test_slow_seconds_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="slow_seconds"):
+            StorageFaultProfile(name="bad", slow_seconds=bad)
+
+
+class TestPropagation:
+    """A propagated plan must be one a spawned worker can rebuild from
+    ``<profile name>:<seed>``; anything else fails at install time."""
+
+    def test_named_and_rate_profiles_propagate(self, monkeypatch):
+        monkeypatch.delenv("REPRO_STORAGE_FAULTS", raising=False)
+        for name in ("mild", "rate:0.1"):
+            with storage_faults(name, seed=5, propagate=True):
+                assert os.environ["REPRO_STORAGE_FAULTS"] == f"{name}:5"
+
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            StorageFaultProfile(name="custom", eio_rate=0.5),
+            StorageFaultProfile(name="mild", eio_rate=0.5),
+        ],
+        ids=["unknown-name", "registry-name-other-rates"],
+    )
+    def test_custom_profile_refused(self, monkeypatch, profile):
+        monkeypatch.delenv("REPRO_STORAGE_FAULTS", raising=False)
+        uninstall_storage_faults()
+        with pytest.raises(ValueError, match="cannot propagate"):
+            install_storage_faults(profile, seed=5, propagate=True)
+        assert current_storage_faults() is None
+        assert "REPRO_STORAGE_FAULTS" not in os.environ
+
+    def test_exhaust_schedule_refused(self, monkeypatch):
+        monkeypatch.delenv("REPRO_STORAGE_FAULTS", raising=False)
+        uninstall_storage_faults()
+        plan = StorageFaultPlan.from_profile("mild", 5).exhaust("jobs")
+        with pytest.raises(ValueError, match="cannot propagate"):
+            install_storage_faults(plan, propagate=True)
+        assert current_storage_faults() is None
+        # Without propagation the same plan installs: forked workers
+        # inherit it whole.
+        try:
+            assert install_storage_faults(plan) is plan
+        finally:
+            uninstall_storage_faults()

@@ -245,6 +245,13 @@ class TestWorkerFaultPlan:
             WorkerFaultPlan.targeted({(0, 1): "meltdown"})
         assert not WorkerFaultPlan(Seed(1)).enabled
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_hang_seconds_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="hang_seconds"):
+            WorkerFaultPlan(Seed(1), crash_rate=0.1, hang_seconds=bad)
+        with pytest.raises(ValueError, match="hang_seconds"):
+            WorkerFaultPlan.targeted({(0, 1): "hang"}, hang_seconds=bad)
+
     def test_kind_order_is_sealed(self):
         """The draw partition order is part of the deterministic contract."""
         assert WORKER_FAULT_KINDS == ("crash", "hang", "poison")
