@@ -427,7 +427,14 @@ none of it moves an exported byte
   the legacy O(n)-per-property scan semantics.
   `CaptureSession.dns_table()` is likewise built incrementally and free
   to read.  The `flows.sealed` counter tracks how many flows each run
-  froze.
+  froze; stopping an already-stopped capture adds nothing to it.
+* **Metadata-only TLS packets** — the router sizes a TLS packet with
+  `HttpRequest.wire_size()` / `HttpResponse.wire_size()`, which equal
+  `estimate_size(message.to_payload())` without building the payload
+  the packet hides (`payload is None`).  Only plaintext HTTP packets
+  call `to_payload()`.  DNS packet sizes are memoised per router, keyed
+  by host and answer.  Echo devices build their requests with
+  `HttpRequest.from_parts`, so their URLs are never parsed.
 * **Memoized analysis** — `OrgResolver.attribute_domain` and
   `FilterList.is_blocked` cache per-domain answers (the underlying
   entity DB, WHOIS answers, and rule set are immutable for a built

@@ -203,7 +203,7 @@ class EchoDevice:
         return registrable_domain(host) in _AMAZON_BASE_DOMAINS
 
     def _send(self, host: str, body: Mapping[str, Any]) -> HttpResponse:
-        request = HttpRequest("POST", f"https://{host}/v1/events", body=dict(body))
+        request = HttpRequest.from_parts("POST", "https", host, "/v1/events", body=dict(body))
         return self._send_raw(request)
 
     def _send_raw(self, request: HttpRequest) -> HttpResponse:

@@ -54,6 +54,13 @@ FAULT_KINDS = ("nxdomain", "timeout", "http_5xx", "slow")
 DNS_FAILURE_SECONDS = 0.05
 
 
+# Defined here, beside the retry policy that catches it, so that neither
+# module imports the other at call time; :mod:`repro.netsim.router`, which
+# raises it, exports it.
+class NetworkError(Exception):
+    """Raised when a request cannot be delivered (no DNS, no service)."""
+
+
 @dataclass(frozen=True)
 class FaultProfile(FaultTable):
     """A named mix of per-request fault rates.
@@ -162,8 +169,6 @@ class RetryPolicy(Backoff):
         Retry counts land in ``<scope>.retries`` /
         ``<scope>.retry_exhausted`` on ``obs`` when given.
         """
-        from repro.netsim.router import NetworkError  # avoid import cycle
-
         last_error: Optional[NetworkError] = None
         last_response: Optional[HttpResponse] = None
         for attempt_number in range(1, self.max_attempts + 1):

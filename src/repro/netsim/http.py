@@ -19,6 +19,8 @@ QueryPairs = Tuple[Tuple[str, str], ...]
 
 #: Exact types :func:`estimate_size` knows are not mappings without an ABC check.
 _NON_MAPPING_TYPES = frozenset({int, float, bool, type(None), list, tuple})
+#: Bytes :func:`estimate_size` adds to every message (≈ framing overhead).
+_FRAMING = 64
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,7 @@ class HttpRequest:
         ``parse_qsl`` reads back from it: ``str`` keys, non-empty values.
         """
         if query_string is None:
-            query_string = urlencode(query_pairs)
+            query_string = urlencode(query_pairs) if query_pairs else ""
         url = f"{scheme}://{host}{path}" + (f"?{query_string}" if query_string else "")
         return cls(method, url, parts=(scheme, host, path or "/", tuple(query_pairs)), **fields)
 
@@ -157,6 +159,21 @@ class HttpRequest:
             "body": dict(self.body),
         }
 
+    def wire_size(self) -> int:
+        """``estimate_size(self.to_payload())``, without building the payload."""
+        pairs = self._pairs
+        return (
+            _REQUEST_FRAME
+            + _value_size(self.method)
+            + _value_size(self.url)
+            + _value_size(self.host)
+            + _value_size(self.path)
+            + (estimate_size(dict(pairs)) - _FRAMING if pairs else 0)
+            + _mapping_size(self.headers)
+            + _mapping_size(self.cookies)
+            + _mapping_size(self.body)
+        )
+
 
 @dataclass(frozen=True)
 class HttpResponse:
@@ -189,6 +206,17 @@ class HttpResponse:
             "redirect_url": self.redirect_url,
         }
 
+    def wire_size(self) -> int:
+        """``estimate_size(self.to_payload())``, without building the payload."""
+        return (
+            _RESPONSE_FRAME
+            + _value_size(self.status)
+            + _mapping_size(self.headers)
+            + _mapping_size(self.set_cookies)
+            + _mapping_size(self.body)
+            + _value_size(self.redirect_url)
+        )
+
 
 def estimate_size(payload: Mapping[str, Any]) -> int:
     """Rough wire size (bytes) of a parsed message, for flow statistics.
@@ -196,7 +224,7 @@ def estimate_size(payload: Mapping[str, Any]) -> int:
     Walks the payload iteratively; exact types are dispatched before the
     far costlier ABC ``isinstance``, which only unusual types reach.
     """
-    total = 64  # ≈ framing overhead
+    total = _FRAMING
     stack = [payload]
     while stack:
         value = stack.pop()
@@ -216,3 +244,32 @@ def estimate_size(payload: Mapping[str, Any]) -> int:
         else:
             total += len(str(value))
     return total
+
+
+def _value_size(value: Any) -> int:
+    """What ``value`` adds to :func:`estimate_size` as a payload field's value."""
+    kind = type(value)
+    if kind is str:
+        return len(value)
+    if kind is int or value is None:
+        return len(str(value))
+    return estimate_size(value) - _FRAMING
+
+
+def _mapping_size(mapping: Mapping[str, Any]) -> int:
+    """What ``dict(mapping)`` adds to :func:`estimate_size` as a field's value."""
+    if not mapping:
+        return 0
+    return estimate_size(mapping if type(mapping) is dict else dict(mapping)) - _FRAMING
+
+
+# The sizes of the payload skeletons: framing, field names and the ``kind``
+# tag.  ``wire_size`` adds what each field's value contributes on top.
+_REQUEST_FRAME = estimate_size(
+    dict.fromkeys(("method", "url", "host", "path", "query", "headers", "cookies", "body"), "")
+    | {"kind": "http-request"}
+)
+_RESPONSE_FRAME = estimate_size(
+    dict.fromkeys(("status", "headers", "set_cookies", "body", "redirect_url"), "")
+    | {"kind": "http-response"}
+)

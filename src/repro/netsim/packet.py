@@ -123,9 +123,10 @@ class Packet:
     def __post_init__(self) -> None:
         if self.size < 0:
             raise ValueError(f"packet size must be non-negative, got {self.size}")
-        for port in (self.src_port, self.dst_port):
-            if not 0 <= port <= 65535:
-                raise ValueError(f"port out of range: {port}")
+        if not 0 <= self.src_port <= 65535:
+            raise ValueError(f"port out of range: {self.src_port}")
+        if not 0 <= self.dst_port <= 65535:
+            raise ValueError(f"port out of range: {self.dst_port}")
         # Identity strings repeat across millions of packets; pooling
         # dedups the storage and turns downstream dict-key comparisons
         # into pointer checks.
@@ -179,14 +180,18 @@ FlowKey = Tuple[str, str, int, str]
 """(device_id, remote_ip, remote_port, protocol value)"""
 
 
+_OUTBOUND = Direction.OUTBOUND
+
+
 def flow_key(packet: Packet) -> FlowKey:
-    """The flow a packet belongs to: (device, remote ip/port, protocol)."""
-    return (
-        packet.device_id,
-        packet.remote_ip,
-        packet.remote_port,
-        packet.protocol.value,
-    )
+    """The flow a packet belongs to: (device, remote ip/port, protocol).
+
+    Reads the fields directly (and the protocol's ``_value_``, past the
+    ``Enum.value`` descriptor): every captured packet is keyed once.
+    """
+    if packet.direction is _OUTBOUND:
+        return (packet.device_id, packet.dst_ip, packet.dst_port, packet.protocol._value_)
+    return (packet.device_id, packet.src_ip, packet.src_port, packet.protocol._value_)
 
 
 @dataclass(slots=True)

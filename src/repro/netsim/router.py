@@ -13,7 +13,10 @@ Like tcpdump on the paper's RPi, the router records only inside capture
 windows: a packet is built, sized and handed to exactly the sessions
 that :meth:`~repro.netsim.pcap.CaptureSession.accepts` its device, and
 is never built when none does.  :attr:`Router.packets_forwarded` still
-counts every packet put on the wire.
+counts every packet put on the wire.  A TLS packet is sized by the
+message's ``wire_size()`` and never serialized; only plaintext HTTP
+packets carry ``to_payload()``.  DNS packet sizes are memoised per
+host and answer.
 
 Services (the Alexa cloud, skill backends, ad servers, websites) register a
 handler per domain.  This keeps the "Internet" a single dispatch table
@@ -26,13 +29,12 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.netsim.dns import DNS_PORT, DnsServer
 from repro.netsim.endpoints import Endpoint, EndpointRegistry
-from repro.netsim.faults import DNS_FAILURE_SECONDS, FaultPlan
+from repro.netsim.faults import DNS_FAILURE_SECONDS, FaultPlan, NetworkError
 from repro.netsim.http import HttpRequest, HttpResponse, estimate_size
 from repro.netsim.packet import Direction, Packet, Protocol
 from repro.netsim.pcap import CaptureSession
 from repro.obs.collector import NULL_OBS
 from repro.util.clock import SimClock
-from repro.util.ids import IdFactory
 
 __all__ = ["Router", "ServiceHandler", "NetworkError"]
 
@@ -45,9 +47,8 @@ CONNECT_FAILURE_SECONDS = 0.25
 #: The DNS blackhole address a PiHole-style blocker answers with.
 BLACKHOLE_IP = "0.0.0.0"
 
-
-class NetworkError(Exception):
-    """Raised when a request cannot be delivered (no DNS, no service)."""
+#: One DNS answer as ``(domain, ip, ttl)``; ``None`` is an empty (NXDOMAIN) answer.
+DnsAnswer = Optional[Tuple[str, str, int]]
 
 
 class Router:
@@ -68,7 +69,10 @@ class Router:
         self.faults = faults
         #: Observability sink for fault counters; rebindable by the runner.
         self.obs = NULL_OBS
-        self._ids = IdFactory()
+        #: Ephemeral source ports drawn so far, one per delivered request.
+        self._ports_drawn = 0
+        #: ``(host, answer)`` → sizes of the DNS query and response packets.
+        self._dns_sizes: Dict[Tuple[str, DnsAnswer], Tuple[int, int]] = {}
         self._device_ips: Dict[str, str] = {}
         self._services: Dict[str, ServiceHandler] = {}
         self._captures: List[CaptureSession] = []
@@ -121,12 +125,13 @@ class Router:
 
         Stopping seals the session's incrementally-built flow table —
         downstream analyses receive pre-grouped flows with frozen
-        aggregates; ``flows.sealed`` counts them.
+        aggregates; ``flows.sealed`` counts them.  Stopping a session
+        that is no longer live is a no-op, so its flows count once.
         """
         session.stop()
         if session in self._captures:
             self._captures.remove(session)
-        self.obs.inc("flows.sealed", len(session.flows()))
+            self.obs.inc("flows.sealed", len(session.flows()))
         return session
 
     def _recorders(self, device_id: str, packets: int) -> List[CaptureSession]:
@@ -161,7 +166,7 @@ class Router:
 
         if decision is not None and decision.kind == "nxdomain":
             self.obs.inc("net.faults.nxdomain")
-            self._emit_dns_exchange(device_id, device_ip, host, answers=[])
+            self._emit_dns_exchange(device_id, device_ip, host, None)
             self.clock.advance(decision.seconds)
             raise NetworkError(f"NXDOMAIN: {host} [injected fault]")
 
@@ -174,8 +179,8 @@ class Router:
             raise NetworkError(f"connection refused: no service at {host}")
 
         sni = host if request.is_https else None
-        src_port = 49152 + self._ids.count("ephemeral-port") % 16000
-        self._ids.next("ephemeral-port")
+        src_port = 49152 + self._ports_drawn % 16000
+        self._ports_drawn += 1
         device_end, remote_end = (device_ip, src_port), (endpoint.ip, endpoint.port)
         self._emit_http(device_id, request, sni, device_end, remote_end, Direction.OUTBOUND)
 
@@ -209,11 +214,20 @@ class Router:
         self, device_id: str, message: Union[HttpRequest, HttpResponse], sni: Optional[str],
         src: Tuple[str, int], dst: Tuple[str, int], direction: Direction,
     ) -> None:
-        """Emit one HTTP packet, or a TLS one (payload hidden) when ``sni`` is set."""
+        """Emit one HTTP packet, or a TLS one (payload hidden) when ``sni`` is set.
+
+        A TLS packet is sized from the message's fields; only a plaintext
+        packet builds the payload it carries.
+        """
         sessions = self._recorders(device_id, 1)
         if not sessions:
             return
-        payload = message.to_payload()
+        if sni is None:
+            payload = message.to_payload()
+            size = estimate_size(payload)
+        else:
+            payload = None
+            size = message.wire_size()
         packet = Packet(
             timestamp=self.clock.now,
             src_ip=src[0],
@@ -221,11 +235,11 @@ class Router:
             src_port=src[1],
             dst_port=dst[1],
             protocol=Protocol.HTTP if sni is None else Protocol.TLS,
-            size=estimate_size(payload),
+            size=size,
             direction=direction,
             device_id=device_id,
             sni=sni,
-            payload=payload if sni is None else None,
+            payload=payload,
         )
         for session in sessions:
             session.observe(packet)
@@ -240,12 +254,7 @@ class Router:
         :class:`repro.defenses.blocking.BlockingRouter` before it raises.
         """
         device_ip = self.device_ip(device_id)
-        self._emit_dns_exchange(
-            device_id,
-            device_ip,
-            host,
-            answers=[{"domain": host, "ip": BLACKHOLE_IP, "ttl": 2}],
-        )
+        self._emit_dns_exchange(device_id, device_ip, host, (host, BLACKHOLE_IP, 2))
         self.clock.advance(DNS_FAILURE_SECONDS)
 
     def _resolve(self, device_id: str, device_ip: str, host: str) -> Endpoint:
@@ -257,28 +266,35 @@ class Router:
         """
         endpoint = self.registry.lookup_domain(host)
         if endpoint is None:
-            self._emit_dns_exchange(device_id, device_ip, host, answers=[])
+            self._emit_dns_exchange(device_id, device_ip, host, None)
             self.clock.advance(DNS_FAILURE_SECONDS)
             raise NetworkError(f"NXDOMAIN: {host}")
         record = self.dns.resolve(host)
-        self._emit_dns_exchange(
-            device_id,
-            device_ip,
-            host,
-            answers=[{"domain": record.domain, "ip": record.ip, "ttl": record.ttl}],
-        )
+        self._emit_dns_exchange(device_id, device_ip, host, (record.domain, record.ip, record.ttl))
         return endpoint
 
     def _emit_dns_exchange(
-        self, device_id: str, device_ip: str, host: str, answers: List[dict]
+        self, device_id: str, device_ip: str, host: str, answer: DnsAnswer
     ) -> None:
-        """Emit one DNS query/response packet pair (empty answers ≈ NXDOMAIN)."""
+        """Emit one DNS query/response packet pair (no answer ≈ NXDOMAIN).
+
+        Both payloads are built, since a capture's DNS table reads them;
+        their sizes are computed once per ``(host, answer)``.
+        """
         sessions = self._recorders(device_id, 2)
         if not sessions:
             return
         dns_server_ip = f"{self.LAN_PREFIX}1"
+        answers = []
+        if answer is not None:
+            domain, ip, ttl = answer
+            answers.append({"domain": domain, "ip": ip, "ttl": ttl})
         query_payload = {"kind": "dns-query", "domain": host}
         response_payload = {"kind": "dns-response", "answers": answers}
+        sizes = self._dns_sizes.get((host, answer))
+        if sizes is None:
+            sizes = (estimate_size(query_payload), estimate_size(response_payload))
+            self._dns_sizes[(host, answer)] = sizes
         common = dict(
             timestamp=self.clock.now,
             protocol=Protocol.DNS,
@@ -289,7 +305,7 @@ class Router:
             dst_ip=dns_server_ip,
             src_port=5353,
             dst_port=DNS_PORT,
-            size=estimate_size(query_payload),
+            size=sizes[0],
             direction=Direction.OUTBOUND,
             payload=query_payload,
             **common,
@@ -299,7 +315,7 @@ class Router:
             dst_ip=device_ip,
             src_port=DNS_PORT,
             dst_port=5353,
-            size=estimate_size(response_payload),
+            size=sizes[1],
             direction=Direction.INBOUND,
             payload=response_payload,
             **common,

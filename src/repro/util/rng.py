@@ -95,7 +95,7 @@ class StreamFamily:
 
     def stream(self, *key: object) -> random.Random:
         """The sequential stream for ``key``, created on first use."""
-        parts = tuple(str(p) for p in key)
+        parts = tuple(map(str, key))
         stream = self._streams.get(parts)
         if stream is None:
             stream = self._seed.rng(*self._namespace, *parts)

@@ -52,7 +52,7 @@ def build_router(fault_kind=None):
 
 def drive(router, calls):
     """Run ``calls`` and return everything observable apart from packets."""
-    ids = getattr(router, "_inner", router)._ids  # a BlockingRouter wraps one
+    inner = getattr(router, "_inner", router)  # a BlockingRouter wraps one
     trace = []
     for call in calls:
         try:
@@ -64,7 +64,7 @@ def drive(router, calls):
                 outcome,
                 router.clock.now,
                 router.packets_forwarded,
-                ids.count("ephemeral-port"),
+                inner._ports_drawn,
             )
         )
     return trace
@@ -87,7 +87,11 @@ HEALTHY_CALLS = [
 
 @pytest.fixture
 def built(monkeypatch):
-    """Count every ``Packet`` and ``estimate_size`` call the router makes."""
+    """Count every ``Packet`` the router builds and every size it computes.
+
+    A size is an ``estimate_size`` call in the router or a ``wire_size``
+    call on either message type.
+    """
     counts = {"packets": 0, "sizes": 0}
     packet_cls, size_fn = router_module.Packet, router_module.estimate_size
 
@@ -95,12 +99,17 @@ def built(monkeypatch):
         counts["packets"] += 1
         return packet_cls(*args, **kwargs)
 
-    def size(payload):
-        counts["sizes"] += 1
-        return size_fn(payload)
+    def counted(fn):
+        def sized(*args):
+            counts["sizes"] += 1
+            return fn(*args)
+
+        return sized
 
     monkeypatch.setattr(router_module, "Packet", packet)
-    monkeypatch.setattr(router_module, "estimate_size", size)
+    monkeypatch.setattr(router_module, "estimate_size", counted(size_fn))
+    for message_cls in (HttpRequest, HttpResponse):
+        monkeypatch.setattr(message_cls, "wire_size", counted(message_cls.wire_size))
     return counts
 
 
@@ -141,7 +150,10 @@ class TestNoCaptureOpen:
     def test_packets_built_equal_packets_captured(self, built):
         _, session = run_captured(HEALTHY_CALLS)
         assert built["packets"] == len(session)
-        assert built["sizes"] == len(session)
+        # One size per HTTP packet (8) and per DNS packet of a cold
+        # ``(host, answer)`` pair: svc, plain, missing, orphan and the
+        # blackholed host, 2 each (10).  The repeated svc lookups are warm.
+        assert built["sizes"] == 8 + 10 == 18
 
 
 class TestDeviceFilter:
