@@ -4,27 +4,18 @@ Not a paper table — these time the reproduction's own moving parts so
 regressions in the simulator or the analyses are caught: world build,
 one skill-session audit, one crawl iteration, a DSAR round trip, the
 persona-sharded parallel runner's speedup over the serial campaign, and
-the capture→analysis hot path against its pre-optimization baseline
-(``bench_pipeline_throughput`` — the CI perf-smoke gate).
+the observability layer's overhead.
 """
 
 import os
 import time
-from collections import Counter
-from typing import Dict, List
 
 from repro.alexa import AmazonAccount, EchoDevice
 from repro.core.campaign import run_campaign
 from repro.core.experiment import ExperimentConfig
 from repro.core.parallel import _run_shard, shard_personas
 from repro.core.personas import all_personas
-from repro.core.traffic import _classify_org, analyze_traffic
 from repro.core.world import build_world
-from repro.data.domains import PIHOLE_FILTER_TEXT
-from repro.netsim.dns import build_dns_table
-from repro.netsim.packet import Flow, FlowKey, Packet, flow_key
-from repro.orgmap.filterlists import FilterList, parse_rules
-from repro.orgmap.resolver import OrgResolver
 from repro.util.rng import Seed
 from repro.web import BrowserProfile, OpenWPMCrawler, discover_prebid_sites
 
@@ -138,125 +129,6 @@ def bench_parallel_speedup(benchmark):
             f"measured 4-worker speedup {measured_speedup:.2f}x < 1.8x "
             f"(serial {serial_seconds:.2f}s, parallel {parallel_seconds:.2f}s)"
         )
-
-
-def _legacy_group_flows(packets: List[Packet]) -> List[Flow]:
-    """Post-hoc flow grouping as the pipeline did it before sealing.
-
-    Unsealed flows keep the legacy per-property O(n) scan semantics, so
-    timing this path reproduces the old aggregate-access cost too.
-    """
-    flows: Dict[FlowKey, Flow] = {}
-    for packet in packets:
-        key = flow_key(packet)
-        flow = flows.get(key)
-        if flow is None:
-            flows[key] = flow = Flow(key=key, packets=[])
-        flow.packets.append(packet)
-    return list(flows.values())
-
-
-def _legacy_analyze(dataset, resolver, filter_list, vendor_by_skill) -> Counter:
-    """The pre-optimization §4 hot path, preserved as the baseline.
-
-    Re-groups every capture's packets post hoc, rebuilds the DNS table
-    per capture, and resolves/classifies every (skill, domain)
-    occurrence from scratch — exactly what ``analyze_traffic`` did
-    before sealed flows and the memo caches.  Returns the Table 2
-    traffic matrix so the optimized path can be checked against it.
-    """
-    traffic_matrix: Counter = Counter()
-    for artifacts in dataset.interest_personas:
-        for skill_id, capture in artifacts.skill_captures.items():
-            dns_table = build_dns_table(capture.packets)
-            vendor = vendor_by_skill.get(skill_id, "")
-            domains: Dict[str, tuple] = {}
-            for flow in _legacy_group_flows(capture.packets):
-                if flow.key[3] == "dns":
-                    continue
-                attribution = resolver.attribute_ip(
-                    flow.remote_ip, dns_table, sni=flow.sni
-                )
-                if attribution.domain is None:
-                    continue
-                org, count = domains.get(
-                    attribution.domain, (attribution.organization, 0)
-                )
-                domains[attribution.domain] = (org, count + len(flow.packets))
-            for domain, (org, requests) in domains.items():
-                org_class = _classify_org(org, vendor)
-                traffic_matrix[(org_class, filter_list.is_blocked(domain))] += requests
-    return traffic_matrix
-
-
-def bench_pipeline_throughput(benchmark, bench_record, dataset, world, vendor_by_skill):
-    """Capture→analysis hot path: ≥1.5× over the pre-optimization baseline.
-
-    Both paths consume the paper-scale session dataset and include
-    auditor-side setup (resolver + filter-list construction) in the timed
-    region; the optimized path reads pre-sealed flows and incremental DNS
-    tables and memoizes domain resolution/classification, the legacy path
-    re-derives everything per capture.  The speedup ratio — not absolute
-    seconds — is what ``benchmarks/check_bench_regression.py`` gates in
-    CI, so the number is comparable across machines.  Refresh the
-    committed baseline with::
-
-        PYTHONPATH=src python -m pytest \\
-            benchmarks/bench_pipeline_throughput.py::bench_pipeline_throughput \\
-            --bench-json benchmarks/BENCH_pipeline.json
-    """
-    rules = parse_rules(PIHOLE_FILTER_TEXT.splitlines())
-
-    started = time.perf_counter()
-    legacy_resolver = OrgResolver(world.entity_db, world.whois, memoize=False)
-    legacy_filters = FilterList(rules, memoize=False)
-    legacy_matrix = _legacy_analyze(
-        dataset, legacy_resolver, legacy_filters, vendor_by_skill
-    )
-    legacy_seconds = time.perf_counter() - started
-
-    state = {}
-
-    def optimized():
-        resolver = OrgResolver(world.entity_db, world.whois)
-        filters = FilterList(rules)
-        analysis = analyze_traffic(dataset, resolver, filters, vendor_by_skill)
-        state["analysis"] = analysis
-        state["cache_hits"] = resolver.cache_hits + filters.cache_hits
-        return analysis
-
-    optimized_times = []
-    for _ in range(3):
-        started = time.perf_counter()
-        optimized()
-        optimized_times.append(time.perf_counter() - started)
-    optimized_seconds = min(optimized_times)
-    benchmark.pedantic(optimized, rounds=1, iterations=1)
-
-    speedup = legacy_seconds / optimized_seconds
-    flow_count = sum(
-        len(capture.flows())
-        for artifacts in dataset.interest_personas
-        for capture in artifacts.skill_captures.values()
-    )
-    measurements = {
-        "legacy_seconds": round(legacy_seconds, 3),
-        "optimized_seconds": round(optimized_seconds, 3),
-        "speedup": round(speedup, 2),
-        "flows": flow_count,
-        "domain_cache_hits": state["cache_hits"],
-    }
-    bench_record("bench_pipeline_throughput", **measurements)
-    benchmark.extra_info.update(measurements)
-
-    assert state["analysis"].traffic_matrix == dict(legacy_matrix), (
-        "optimized analysis diverged from the legacy pipeline"
-    )
-    assert state["cache_hits"] > 0, "memo caches never hit"
-    assert speedup >= 1.5, (
-        f"capture→analysis speedup {speedup:.2f}x < 1.5x (legacy "
-        f"{legacy_seconds:.2f}s vs optimized {optimized_seconds:.2f}s)"
-    )
 
 
 def bench_obs_overhead(benchmark):

@@ -22,28 +22,12 @@ _BENCH_RESULTS = {}
 def pytest_addoption(parser):
     group = parser.getgroup("repro", "campaign execution")
     group.addoption(
-        "--parallel",
-        action="store_true",
-        default=False,
-        help="build the session dataset with the persona-sharded parallel "
-        "runner (export-identical to the serial run)",
-    )
-    group.addoption(
-        "--workers",
-        action="store",
-        type=int,
-        default=4,
-        help="worker count when --parallel is set",
-    )
-    group.addoption(
         "--bench-json",
         action="store",
         default=None,
         metavar="PATH",
         help="write measurements recorded via the bench_record fixture "
-        "to PATH as JSON (see benchmarks/BENCH_pipeline.json for the "
-        "committed baseline and benchmarks/check_bench_regression.py "
-        "for the CI comparison)",
+        "to PATH as JSON (informational; no committed baseline)",
     )
 
 
@@ -70,24 +54,15 @@ def pytest_sessionfinish(session, exitstatus):
 
 
 @pytest.fixture(scope="session")
-def dataset(request):
+def dataset():
     """The paper-scale campaign (450 skills, 31 crawl iterations, 13
     personas) under the default seed.
 
     Served from the on-disk dataset cache when warm, *without* the
     deep-copy on read (``cache_copy=False``): the fixture is already
     session-shared and the benchmarks only read it, so the copy would
-    buy nothing and cost more than loading the pickle.  With
-    ``--parallel`` a cold build uses the sharded runner instead of the
-    serial one — the two produce export-identical datasets, so every
-    benchmark sees the same artifacts either way.
+    buy nothing and cost more than loading the pickle.
     """
-    if request.config.getoption("--parallel"):
-        return run_campaign(
-            seed=42,
-            parallel=True,
-            workers=request.config.getoption("--workers"),
-        )
     return run_campaign(seed=42, cache=True, cache_copy=False)
 
 

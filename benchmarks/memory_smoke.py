@@ -14,10 +14,8 @@ Usage::
     PYTHONPATH=src python benchmarks/memory_smoke.py \
         --out bench-memory-current.json
 
-The report is gated in CI against ``benchmarks/BENCH_memory.json`` by
-``benchmarks/check_bench_regression.py`` (the ``max_ratio`` ceiling),
-and the script itself exits non-zero on violation so it also stands
-alone.
+The script is its own gate: it exits 1 when the ratio exceeds
+``--max-ratio``.  ``--out`` writes the measurements as a JSON report.
 """
 
 from __future__ import annotations
@@ -72,7 +70,7 @@ def _campaign_peak_bytes(scale: int, batch: int, root: Path) -> tuple:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, default=None, metavar="PATH",
-                        help="write the bench-json report to PATH")
+                        help="write the JSON report to PATH")
     parser.add_argument("--small-scale", type=int, default=1,
                         help="baseline roster scale (default 1 = 13 personas)")
     parser.add_argument("--large-scale", type=int, default=15,

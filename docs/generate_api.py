@@ -418,13 +418,14 @@ none of it moves an exported byte
 4-worker exports under healthy and mild-faulted networks).
 
 * **Sealed flows** — `repro.netsim.packet.FlowTable` groups packets into
-  flows *as the router emits them*; stopping a capture seals the table
-  once (`Flow.seal()` freezes `total_bytes` / `sni` / `first_timestamp`
-  as cached aggregates).  Sealed flows are non-empty by construction — a
-  `FlowTable` only creates a flow when its first packet arrives — and
-  reject further packets.  `group_flows` survives as a thin wrapper that
-  builds and seals a table in one shot; hand-built unsealed `Flow`s keep
-  the legacy O(n)-per-property scan semantics.
+  flows *as the router emits them* and is the only place a `Flow` is
+  created (`packets` is not a constructor argument), so each flow's
+  running `total_bytes` / `sni` / `first_timestamp` aggregates cover
+  exactly its packets.  Stopping a capture seals the table once
+  (`Flow.seal()` freezes a flow against further packets).  Flows are
+  non-empty by construction — a `FlowTable` only creates a flow when
+  its first packet arrives.  `CaptureSession.flows()` on a live session
+  returns a snapshot of its table's flows.
   `CaptureSession.dns_table()` is likewise built incrementally and free
   to read.  The `flows.sealed` counter tracks how many flows each run
   froze; stopping an already-stopped capture adds nothing to it.
@@ -442,8 +443,7 @@ none of it moves an exported byte
   `(org, vendor)` pair once and can fan its per-persona resolution
   across workers (`analyze_traffic(..., workers=4)`) with identical
   results.  Repeat lookups the caches absorbed are counted as
-  `analysis.domain_cache_hits`; pass `memoize=False` to either cache
-  for the uncached legacy behaviour.
+  `analysis.domain_cache_hits`.  Both caches are always on.
 * **Copy-on-read cache** — `DatasetCache.read(seed_root, config,
   copy=True)` replaces `get_or_run` (which survives as a deep-copy
   alias).  `copy=False` aliases the cached instance for read-only
@@ -454,16 +454,15 @@ none of it moves an exported byte
   entry is quarantined to `*.corrupt` with a warning and treated as a
   miss (sharing `repro.core.checkpoint.atomic_write_bytes` on the
   write side).
-* **Benchmark gate** — `pytest benchmarks/... --bench-json PATH` writes
-  measurements recorded via the `bench_record` fixture;
-  `bench_pipeline_throughput` asserts the optimized path is ≥1.5× the
-  pre-optimization baseline and CI's `perf-smoke` job fails if the
-  speedup ratio drops >15% below the committed
-  `benchmarks/BENCH_pipeline.json` (compared by
-  `benchmarks/check_bench_regression.py`).  Refresh the baseline with
-  `PYTHONPATH=src python -m pytest
-  benchmarks/bench_pipeline_throughput.py::bench_pipeline_throughput
-  --bench-json benchmarks/BENCH_pipeline.json` and commit the result.
+* **Exact gates** — tier-1 pins the fast paths with deterministic
+  counts instead of speedup ratios:
+  `test_pipeline_equivalence.py::test_obs_counters_present` checks
+  `flows.sealed`, `analysis.domain_cache_hits` and one resolution per
+  distinct domain on a seed-42 config and fails if analysis regroups
+  packets or rebuilds a DNS table, and
+  `test_traffic_matrix_matches_reference_scan` compares the traffic
+  matrix with a cache-free re-derivation from raw packets.  Wall-clock
+  is measured end to end by `benchmarks/e2e/bench_e2e.py`.
 
 ## Scaling: the segment-store I/O fast path
 
@@ -497,18 +496,18 @@ the O(campaign-size) cost curve:
   `digest-cache.json` next to the manifest, keyed by `(file name,
   size, mtime_ns)`, so unchanged files are never re-hashed — across
   scans, processes, and service restarts (`segments.digest_cache.hits`
-  / `.misses` counters; `store.verify_digests_fully = True` forces the
-  cold path).  On any digest mismatch the cache is cleared, the handle
+  / `.misses` counters; `repro fsck` re-hashes every segment itself).
+  On any digest mismatch the cache is cleared, the handle
   permanently switches to cold-path full hashing, and the corrupt
   segment is quarantined to `*.corrupt` with a warning — corruption is
   recomputed over, never silently trusted.
 
 Rebind `store.obs` to a live `ObsCollector` to record the counters.
 All three paths are pinned byte-identical to cold recompute by
-`tests/property/test_segment_reuse_properties.py`, and their speedups
-(≥5× incremental-epoch reuse, ≥3× warm re-scan, indexed point reads)
-are gated in CI against `benchmarks/BENCH_segments.json` by
-`benchmarks/bench_segment_io.py`.
+`tests/property/test_segment_reuse_properties.py`, and each fast path
+by exact counts in `tests/unit/test_segment_fastpath.py`: a warm
+re-scan is all digest-cache hits, adoption links every file and copies
+none, and point reads never parse a whole segment.
 
 ## Migrating to `run_campaign` / `CampaignSpec`
 

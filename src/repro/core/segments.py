@@ -66,10 +66,10 @@ O(campaign-size) cost curve:
   re-hashed — across scans, processes, and service restarts.  Hits and
   misses count as ``segments.digest_cache.hits`` / ``.misses``.  Any
   mismatch clears the cache and switches the store handle to cold-path
-  full hashing for every subsequent verification (set
-  ``store.verify_digests_fully = True`` to force the cold path from
-  the start); the mismatching segment file is quarantined to
-  ``*.corrupt`` with a warning, matching the marker contract.
+  full hashing for every subsequent verification; the mismatching
+  segment file is quarantined to ``*.corrupt`` with a warning,
+  matching the marker contract.  ``repro fsck`` re-hashes every
+  segment itself, never through the cache.
 
 Streams
 -------
@@ -286,9 +286,6 @@ class SegmentStore:
         #: ``segments.digest_cache.*`` counters; rebind to a live
         #: :class:`~repro.obs.ObsCollector` to record them.
         self.obs = NULL_OBS
-        #: Force cold-path verification: every scan re-reads and
-        #: re-hashes every segment file, ignoring the digest cache.
-        self.verify_digests_fully = False
         self._scan_cache: Optional[List[_BatchEntry]] = None
         self._pos_entry: Optional[Dict[int, _BatchEntry]] = None
         self._index_cache: Dict[int, Dict[str, Dict[str, list]]] = {}
@@ -802,7 +799,7 @@ class SegmentStore:
         except OSError:
             return False
         cache = self._load_digest_cache()
-        if not self.verify_digests_fully and not self._digest_cache_distrusted:
+        if not self._digest_cache_distrusted:
             cached = cache.get(path.name)
             if (
                 cached is not None

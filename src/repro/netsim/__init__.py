@@ -5,7 +5,7 @@ router: packets with TLS-opaque payloads, cleartext DNS, HTTP messages,
 and tcpdump-style capture sessions.
 """
 
-from repro.netsim.dns import DnsRecord, DnsServer, DnsTable, build_dns_table
+from repro.netsim.dns import DnsRecord, DnsServer, DnsTable
 from repro.netsim.endpoints import Endpoint, EndpointRegistry, registrable_domain
 from repro.netsim.faults import (
     DEFAULT_RETRY_POLICY,
@@ -23,7 +23,6 @@ from repro.netsim.packet import (
     Packet,
     Protocol,
     flow_key,
-    group_flows,
 )
 from repro.netsim.pcap import CaptureSession
 from repro.netsim.router import NetworkError, Router, ServiceHandler
@@ -51,9 +50,7 @@ __all__ = [
     "RetryPolicy",
     "Router",
     "ServiceHandler",
-    "build_dns_table",
     "estimate_size",
     "flow_key",
-    "group_flows",
     "registrable_domain",
 ]

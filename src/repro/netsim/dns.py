@@ -10,12 +10,12 @@ names (§3.2 "Inferring origin").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 from repro.netsim.endpoints import EndpointRegistry
 from repro.netsim.packet import Packet
 
-__all__ = ["DnsRecord", "DnsServer", "DnsTable", "build_dns_table"]
+__all__ = ["DnsRecord", "DnsServer", "DnsTable"]
 
 DNS_PORT = 53
 
@@ -81,11 +81,3 @@ class DnsTable:
 
     def __len__(self) -> int:
         return len(self._ip_to_domain)
-
-
-def build_dns_table(packets: Iterable[Packet]) -> DnsTable:
-    """Recover the IP→domain table from DNS response packets in a capture."""
-    table = DnsTable()
-    for packet in packets:
-        table.add_packet(packet)
-    return table

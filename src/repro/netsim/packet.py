@@ -17,8 +17,8 @@ Hot-path design
 ---------------
 
 A production-scale campaign emits millions of packets, and the analysis
-layer used to pay for that twice: once to capture, then again to re-scan
-every capture into flows post-hoc.  Three choices keep this layer cheap:
+layer reads every one of them through a flow.  Three choices keep this
+layer cheap:
 
 * ``slots=True`` dataclasses — no per-instance ``__dict__``, which cuts
   both memory and attribute-access cost on the two most-allocated types
@@ -31,18 +31,17 @@ every capture into flows post-hoc.  Three choices keep this layer cheap:
   pushing the process-wide intern table past a threshold forces a
   multi-megabyte rehash into whatever campaign happens to be running —
   visible as a spurious peak-memory spike in flat-memory monitoring;
-* **sealed flows** — a :class:`Flow` produced by a :class:`FlowTable`
-  maintains its aggregates (``total_bytes``, ``sni``,
-  ``first_timestamp``) incrementally as packets arrive and freezes them
-  at :meth:`Flow.seal`, so property access is O(1) instead of an O(n)
-  scan per read.
+* **sealed flows** — only a :class:`FlowTable` creates a :class:`Flow`;
+  the flow maintains its aggregates (``total_bytes``, ``sni``,
+  ``first_timestamp``) incrementally as packets arrive and
+  :meth:`Flow.seal` freezes them, so property access is O(1).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 __all__ = [
     "Direction",
@@ -52,7 +51,6 @@ __all__ = [
     "FlowKey",
     "FlowTable",
     "flow_key",
-    "group_flows",
 ]
 
 
@@ -198,25 +196,23 @@ def flow_key(packet: Packet) -> FlowKey:
 class Flow:
     """All packets between one device and one remote endpoint/port.
 
-    Flows produced by a :class:`FlowTable` (which includes
-    :func:`group_flows` and every :class:`~repro.netsim.pcap.CaptureSession`)
-    are *sealed*: their aggregates were accumulated incrementally as
-    packets arrived and are served in O(1).  A hand-built ``Flow`` whose
-    ``packets`` list is mutated directly stays unsealed and computes the
-    same aggregates by scanning, preserving the legacy semantics.
+    Only a :class:`FlowTable` creates flows, and only when a flow's first
+    packet arrives, so every flow is non-empty and its running aggregates
+    cover exactly the packets in ``packets`` (which is therefore not a
+    constructor argument).  :meth:`seal` freezes the flow once its
+    capture stops.
     """
 
     key: FlowKey
-    packets: List[Packet] = field(default_factory=list)
-    # Incrementally-maintained aggregates, frozen by seal().  Excluded
-    # from equality: a sealed and an unsealed flow with the same packets
-    # are the same flow.
-    _total_bytes: int = field(default=0, repr=False, compare=False)
-    _sni: Optional[str] = field(default=None, repr=False, compare=False)
-    _first_timestamp: Optional[float] = field(
-        default=None, repr=False, compare=False
+    packets: List[Packet] = field(default_factory=list, init=False)
+    # Running aggregates, maintained by _observe.  Excluded from
+    # equality: flows with the same key and packets are the same flow.
+    _total_bytes: int = field(default=0, init=False, repr=False, compare=False)
+    _sni: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+    _first_timestamp: float = field(
+        default=0.0, init=False, repr=False, compare=False
     )
-    _sealed: bool = field(default=False, repr=False, compare=False)
+    _sealed: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def device_id(self) -> str:
@@ -232,69 +228,43 @@ class Flow:
 
     @property
     def sealed(self) -> bool:
-        """Whether the aggregates are frozen (O(1) property access)."""
+        """Whether the flow is frozen against further packets."""
         return self._sealed
 
     def _observe(self, packet: Packet) -> None:
         """Append ``packet``, maintaining the running aggregates."""
         if self._sealed:
             raise ValueError(f"cannot add packets to sealed flow {self.key}")
+        if not self.packets or packet.timestamp < self._first_timestamp:
+            self._first_timestamp = packet.timestamp
         self.packets.append(packet)
         self._total_bytes += packet.size
         if self._sni is None:
             self._sni = packet.sni
-        if self._first_timestamp is None or packet.timestamp < self._first_timestamp:
-            self._first_timestamp = packet.timestamp
 
     def seal(self) -> "Flow":
-        """Freeze the aggregates; sealed flows must be non-empty.
+        """Freeze the flow against further packets; it must be non-empty.
 
-        :class:`FlowTable` only creates a flow when its first packet
-        arrives, so an empty flow can never reach this point through the
-        capture path — sealing one is a caller bug, reported eagerly
-        instead of surfacing later as a confusing ``min()`` failure.
+        A :class:`FlowTable` never holds an empty flow, so sealing one is
+        a caller bug, reported eagerly.
         """
         if not self.packets:
             raise ValueError(f"cannot seal empty flow {self.key}")
-        if not self._sealed:
-            # Hand-built flows may have bypassed _observe; recompute so
-            # sealing is always safe, not only on the FlowTable path.
-            self._total_bytes = sum(p.size for p in self.packets)
-            self._sni = next(
-                (p.sni for p in self.packets if p.sni is not None), None
-            )
-            self._first_timestamp = min(p.timestamp for p in self.packets)
-            self._sealed = True
+        self._sealed = True
         return self
 
     @property
     def total_bytes(self) -> int:
-        if self._sealed:
-            return self._total_bytes
-        return sum(p.size for p in self.packets)
+        return self._total_bytes
 
     @property
     def sni(self) -> Optional[str]:
         """First SNI observed on the flow, if any."""
-        if self._sealed:
-            return self._sni
-        for packet in self.packets:
-            if packet.sni is not None:
-                return packet.sni
-        return None
+        return self._sni
 
     @property
     def first_timestamp(self) -> float:
-        if self._sealed:
-            # seal() guarantees non-emptiness, so the cached value exists.
-            assert self._first_timestamp is not None
-            return self._first_timestamp
-        if not self.packets:
-            raise ValueError(
-                "flow has no packets; sealed flows are non-empty by "
-                "construction — only a hand-built empty Flow can get here"
-            )
-        return min(p.timestamp for p in self.packets)
+        return self._first_timestamp
 
 
 class FlowTable:
@@ -302,13 +272,12 @@ class FlowTable:
 
     Packets are grouped as they arrive — the capture path feeds every
     observed packet straight in — so downstream analyses get pre-grouped,
-    sealed flows without the post-hoc O(n) re-scan the legacy
-    :func:`group_flows` pass performed.
+    sealed flows and never re-scan a capture's packet list.
 
     Invariant: a flow exists in the table only once its first packet has
-    been added, so every flow holds ≥ 1 packet and every sealed flow's
+    been added, so every flow holds ≥ 1 packet and its
     ``first_timestamp`` is defined.  Flow order is first-packet arrival
-    order, matching the legacy grouping exactly.
+    order.
     """
 
     __slots__ = ("_flows", "_sealed")
@@ -356,17 +325,3 @@ class FlowTable:
 
     # Plain-slots pickling (no __dict__) works by default on every
     # supported Python; nothing extra needed here.
-
-
-def group_flows(packets: Iterable[Packet]) -> List[Flow]:
-    """Group packets into flows by (device, remote ip, remote port, proto).
-
-    Compatibility wrapper over :class:`FlowTable` for callers holding a
-    loose packet list.  Capture sessions group incrementally instead —
-    prefer :meth:`~repro.netsim.pcap.CaptureSession.flows`, which returns
-    the already-sealed table without re-scanning.
-    """
-    table = FlowTable()
-    for packet in packets:
-        table.add(packet)
-    return table.seal()

@@ -12,8 +12,7 @@ grouping *as packets arrive*: every observed packet is routed into an
 incremental :class:`~repro.netsim.packet.FlowTable` and its DNS answers
 into a :class:`~repro.netsim.dns.DnsTable`.  When the session stops, the
 flows are sealed once and every downstream analysis reads pre-grouped
-flows and a pre-built DNS table in O(1) — the legacy post-hoc re-scan of
-``packets`` survives only for sessions still actively capturing.
+flows and a pre-built DNS table in O(1); nothing re-scans ``packets``.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, List, Optional
 
 from repro.netsim.dns import DnsTable
-from repro.netsim.packet import Flow, FlowTable, Packet, group_flows
+from repro.netsim.packet import Flow, FlowTable, Packet
 
 __all__ = ["CaptureSession"]
 
@@ -74,11 +73,11 @@ class CaptureSession:
 
         On a stopped session this seals the incremental flow table once
         and returns the cached sealed flows on every subsequent call.  A
-        still-active session re-groups its current snapshot instead (the
-        table keeps growing, so sealing it would be premature).
+        still-active session returns a snapshot list of its table's
+        (unsealed, still growing) flows; their aggregates are exact.
         """
         if self.active:
-            return group_flows(self.packets)
+            return self._table.flows()
         if self._sealed_flows is None:
             self._sealed_flows = self._table.seal()
         return self._sealed_flows

@@ -11,7 +11,7 @@ Design rules
 * **Null object, not ``if obs:``.**  Disabled observability is the
   :data:`NULL_OBS` singleton whose operations are no-ops, so
   instrumented code never branches — the <5 % overhead budget of
-  ``bench_pipeline_throughput`` is met by making the disabled path a
+  ``bench_obs_overhead`` is met by making the disabled path a
   method call and the enabled path cheap.
 * **Deterministic merge.**  :func:`merge_collectors` reassembles shard
   collectors into one whose *simulated-time span tree* is byte-identical

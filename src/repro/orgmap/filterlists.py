@@ -80,12 +80,10 @@ class FilterList:
     per query, the rule set is frozen after construction, and the
     campaign asks about the same domains millions of times (every flow
     classification, every blocked-router decision).  ``cache_hits``
-    feeds the ``analysis.domain_cache_hits`` observability counter; pass
-    ``memoize=False`` for the uncached pre-optimization behaviour (the
-    perf benchmark's legacy baseline).
+    feeds the ``analysis.domain_cache_hits`` observability counter.
     """
 
-    def __init__(self, rules: Iterable[FilterRule], memoize: bool = True) -> None:
+    def __init__(self, rules: Iterable[FilterRule]) -> None:
         self._block: List[FilterRule] = []
         self._allow: List[FilterRule] = []
         for rule in rules:
@@ -94,7 +92,6 @@ class FilterList:
         self._exact_block: Set[str] = {
             r.host for r in self._block if not r.match_subdomains
         }
-        self._memoize = memoize
         self._verdicts: Dict[str, bool] = {}
         #: Memoized verdicts served without re-matching the rule set.
         self.cache_hits = 0
@@ -115,17 +112,15 @@ class FilterList:
 
     def is_blocked(self, domain: str) -> bool:
         """Whether ``domain`` is classified as advertising/tracking."""
-        if self._memoize:
-            verdict = self._verdicts.get(domain)
-            if verdict is not None:
-                self.cache_hits += 1
-                return verdict
-        verdict = self._is_blocked_uncached(domain)
-        if self._memoize:
-            self._verdicts[domain] = verdict
+        verdict = self._verdicts.get(domain)
+        if verdict is not None:
+            self.cache_hits += 1
+            return verdict
+        verdict = self._verdicts[domain] = self._match(domain)
         return verdict
 
-    def _is_blocked_uncached(self, domain: str) -> bool:
+    def _match(self, domain: str) -> bool:
+        """Match ``domain`` against the rule set (exceptions first)."""
         domain = domain.lower().rstrip(".")
         for rule in self._allow:
             if rule.matches(domain):

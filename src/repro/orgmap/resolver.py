@@ -45,37 +45,31 @@ class OrgResolver:
     hundred domains across hundreds of thousands of flows, and both the
     entity database and WHOIS answers are immutable for a built world, so
     every repeat lookup is a dict hit.  ``cache_hits`` feeds the
-    ``analysis.domain_cache_hits`` observability counter; pass
-    ``memoize=False`` to reproduce the uncached pre-optimization cost
-    (the perf benchmark's legacy baseline).
+    ``analysis.domain_cache_hits`` observability counter.
     """
 
     def __init__(
         self,
         entity_db: EntityDatabase,
         whois: Optional[WhoisService] = None,
-        memoize: bool = True,
     ) -> None:
         self._entity_db = entity_db
         self._whois = whois
-        self._memoize = memoize
         self._cache: Dict[str, Attribution] = {}
         #: Memoized lookups served without re-resolving.
         self.cache_hits = 0
 
     def attribute_domain(self, domain: str) -> Attribution:
         """Map a domain name to its parent organization (memoized)."""
-        if self._memoize:
-            cached = self._cache.get(domain)
-            if cached is not None:
-                self.cache_hits += 1
-                return cached
-        attribution = self._attribute_domain_uncached(domain)
-        if self._memoize:
-            self._cache[domain] = attribution
+        cached = self._cache.get(domain)
+        if cached is not None:
+            self.cache_hits += 1
+            return cached
+        attribution = self._cache[domain] = self._resolve(domain)
         return attribution
 
-    def _attribute_domain_uncached(self, domain: str) -> Attribution:
+    def _resolve(self, domain: str) -> Attribution:
+        """Entity database first, then unredacted WHOIS, else unresolved."""
         entity = self._entity_db.entity_for_domain(domain)
         if entity is not None:
             return Attribution(

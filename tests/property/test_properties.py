@@ -10,7 +10,7 @@ from repro.core.stats import mann_whitney_u, rank_biserial
 from repro.data.calibration import BidParams
 from repro.netsim.endpoints import registrable_domain
 from repro.netsim.http import estimate_size
-from repro.netsim.packet import Direction, Packet, Protocol, group_flows
+from repro.netsim.packet import Direction, FlowTable, Packet, Protocol
 from repro.orgmap.filterlists import FilterList
 from repro.util.rng import Seed, derive_seed_int
 
@@ -105,7 +105,10 @@ class TestFlowGroupingProperties:
     @settings(max_examples=50)
     @given(packets)
     def test_grouping_partitions_packets(self, pkts):
-        flows = group_flows(pkts)
+        table = FlowTable()
+        for packet in pkts:
+            table.add(packet)
+        flows = table.seal()
         assert sum(len(f.packets) for f in flows) == len(pkts)
         keys = [f.key for f in flows]
         assert len(keys) == len(set(keys))
@@ -113,7 +116,10 @@ class TestFlowGroupingProperties:
     @settings(max_examples=50)
     @given(packets)
     def test_total_bytes_conserved(self, pkts):
-        flows = group_flows(pkts)
+        table = FlowTable()
+        for packet in pkts:
+            table.add(packet)
+        flows = table.seal()
         assert sum(f.total_bytes for f in flows) == sum(p.size for p in pkts)
 
 

@@ -88,6 +88,21 @@ class TestFilterList:
     def test_len(self, fl):
         assert len(fl) == 5
 
+    def test_verdicts_are_memoized_per_domain(self, fl, monkeypatch):
+        matched = []
+        match = fl._match
+
+        def counted(domain):
+            matched.append(domain)
+            return match(domain)
+
+        monkeypatch.setattr(fl, "_match", counted)
+        domains = ["cdn.megaphone.fm", "example.org"] * 3
+        verdicts = [fl.is_blocked(domain) for domain in domains]
+        assert verdicts == [True, False] * 3
+        assert matched == ["cdn.megaphone.fm", "example.org"]
+        assert fl.cache_hits == 4
+
 
 class TestPaperFilterList:
     """The shipped Pi-hole list must classify the paper's domains correctly."""

@@ -11,7 +11,6 @@ from repro.netsim.packet import (
     Packet,
     Protocol,
     flow_key,
-    group_flows,
 )
 
 
@@ -30,6 +29,14 @@ def make_packet(**overrides):
     )
     defaults.update(overrides)
     return Packet(**defaults)
+
+
+def group(packets):
+    """Group ``packets`` the way a capture does: through a sealed FlowTable."""
+    table = FlowTable()
+    for packet in packets:
+        table.add(packet)
+    return table.seal()
 
 
 class TestPacket:
@@ -71,38 +78,31 @@ class TestGroupFlows:
             src_port=443,
             dst_port=50000,
         )
-        flows = group_flows([out, back])
+        flows = group([out, back])
         assert len(flows) == 1
         assert flows[0].total_bytes == 1024
 
     def test_different_remotes_different_flows(self):
-        flows = group_flows([make_packet(), make_packet(dst_ip="54.9.9.9")])
+        flows = group([make_packet(), make_packet(dst_ip="54.9.9.9")])
         assert len(flows) == 2
 
     def test_different_devices_different_flows(self):
-        flows = group_flows([make_packet(), make_packet(device_id="echo-2")])
+        flows = group([make_packet(), make_packet(device_id="echo-2")])
         assert len(flows) == 2
 
     def test_flow_sni_first_non_null(self):
-        flows = group_flows([make_packet(sni=None), make_packet(sni="x.amazon.com")])
+        flows = group([make_packet(sni=None), make_packet(sni="x.amazon.com")])
         assert flows[0].sni == "x.amazon.com"
 
     def test_flow_properties(self):
-        flow = group_flows([make_packet(timestamp=5.0), make_packet(timestamp=2.0)])[0]
+        flow = group([make_packet(timestamp=5.0), make_packet(timestamp=2.0)])[0]
         assert flow.device_id == "echo-1"
         assert flow.remote_ip == "54.1.2.3"
         assert flow.remote_port == 443
         assert flow.first_timestamp == 2.0
 
-    def test_empty_flow_first_timestamp_raises(self):
-        """Regression: only a hand-built empty Flow can hit this — the
-        FlowTable invariant (a flow exists only with ≥1 packet) keeps
-        every pipeline-produced flow non-empty."""
-        with pytest.raises(ValueError, match="no packets"):
-            Flow(key=("d", "ip", 443, "tls")).first_timestamp
-
     def test_empty_input(self):
-        assert group_flows([]) == []
+        assert group([]) == []
 
 
 class TestFlowSealing:
@@ -128,30 +128,8 @@ class TestFlowSealing:
         with pytest.raises(ValueError, match="sealed"):
             flow._observe(make_packet())
 
-    def test_hand_built_flow_seals_with_recomputed_aggregates(self):
-        packet = make_packet(size=321)
-        flow = Flow(key=flow_key(packet), packets=[packet]).seal()
-        assert flow.total_bytes == 321
-        assert flow.first_timestamp == packet.timestamp
-
 
 class TestFlowTable:
-    def test_matches_group_flows(self):
-        stream = [
-            make_packet(),
-            make_packet(dst_ip="54.9.9.9"),
-            make_packet(timestamp=2.0),
-            make_packet(device_id="echo-2"),
-        ]
-        table = FlowTable()
-        for packet in stream:
-            table.add(packet)
-        sealed = table.seal()
-        legacy = group_flows(stream)
-        assert [f.key for f in sealed] == [f.key for f in legacy]
-        assert [f.packets for f in sealed] == [f.packets for f in legacy]
-        assert [f.total_bytes for f in sealed] == [f.total_bytes for f in legacy]
-
     def test_flows_created_only_on_first_packet(self):
         """The invariant that makes sealed flows non-empty by construction."""
         table = FlowTable()

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.netsim.dns import build_dns_table
 from repro.netsim.endpoints import EndpointRegistry, registrable_domain
 from repro.netsim.http import HttpRequest, HttpResponse
 from repro.netsim.packet import Protocol
@@ -110,7 +109,7 @@ class TestRouter:
         router.attach_device("echo-1")
         cap = router.start_capture("skill-A")
         router.send("echo-1", HttpRequest("GET", "https://api.amazon.com/v1/ping"))
-        table = build_dns_table(cap.packets)
+        table = cap.dns_table()
         ep = registry.require("api.amazon.com")
         assert table.domain_for_ip(ep.ip) == "api.amazon.com"
 

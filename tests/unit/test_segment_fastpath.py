@@ -189,6 +189,30 @@ class TestSidecarIndex:
         fresh = make_store(tmp_path)
         assert fresh.stream_records_for("bids", 1) == expected
 
+    def test_point_reads_never_parse_a_whole_segment(
+        self, tmp_path, monkeypatch
+    ):
+        store = make_store(tmp_path)
+        store.write_batch([0, 2, 4], records_for(0, 2, 4))
+        store.write_batch([1, 5], records_for(1, 5))
+        expected = {
+            (stream, pos): [
+                r for r in store.iter_stream(stream) if r["pos"] == pos
+            ]
+            for stream in ("bids", "flows")
+            for pos in range(6)
+        }
+
+        def full_parse(*args, **kwargs):
+            raise AssertionError("point read parsed a whole segment file")
+
+        monkeypatch.setattr(SegmentStore, "_segment_records", full_parse)
+        # Both the writing handle and a fresh one (which loads the
+        # sidecar from disk) serve every position from its byte extent.
+        for handle in (store, make_store(tmp_path)):
+            for (stream, pos), records in expected.items():
+                assert handle.stream_records_for(stream, pos) == records
+
     def test_point_read_for_uncovered_position_is_empty(self, tmp_path):
         store = make_store(tmp_path)
         store.write_batch([0], records_for(0))
@@ -218,17 +242,6 @@ class TestDigestCache:
         for name, entry in payload["files"].items():
             assert set(entry) == {"size", "mtime_ns", "digest"}
             assert (store.segments_dir / name).stat().st_size == entry["size"]
-
-    def test_full_verification_can_be_forced(self, tmp_path):
-        store = make_store(tmp_path)
-        store.write_batch([0], records_for(0))
-        cold = make_store(tmp_path)
-        cold.verify_digests_fully = True
-        cold.obs = ObsCollector()
-        cold.covered_positions()
-        counters = cold.obs.metrics.as_dict()["counters"]
-        assert counters["segments.digest_cache.misses"] == 2
-        assert "segments.digest_cache.hits" not in counters
 
     def test_modified_file_misses_the_cache_and_is_caught(self, tmp_path):
         store = make_store(tmp_path)
