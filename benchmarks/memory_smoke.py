@@ -84,14 +84,18 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="repro-memory-smoke-") as tmp:
         root = Path(tmp)
-        # Untraced warm-up at the LARGE scale: one-time process-global
-        # costs — module caches, and CPython's interned-identifier table
-        # reaching its final size (pathlib interns every path component,
+        # Untraced warm-up at BOTH scales: one-time process-global costs
+        # are charged here, so the traced runs below compare steady-state
+        # campaign working sets, which is what the flat-memory claim is
+        # about.  The large run brings CPython's interned-identifier
+        # table to its final size (pathlib interns every path component,
         # and a table rehash transiently holds both the old and new
-        # ~MB-sized tables) — are charged here, so the traced runs below
-        # compare steady-state campaign working sets, which is what the
-        # flat-memory claim is about.
-        _campaign_peak_bytes(args.large_scale, args.batch_personas, root / "warm")
+        # ~MB-sized tables); only the small roster reaches the lazy
+        # imports of small-sample code (``scipy.special`` for exact
+        # Mann-Whitney p-values, ``numpy.ma`` for medians), about 10 MiB
+        # of module objects that would otherwise land in a traced peak.
+        for scale in (args.small_scale, args.large_scale):
+            _campaign_peak_bytes(scale, args.batch_personas, root / "warm")
         tracemalloc.start()
         small_n, small_peak = _campaign_peak_bytes(
             args.small_scale, args.batch_personas, root

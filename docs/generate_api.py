@@ -363,8 +363,8 @@ unrecoverable.
 
 ## Crash safety & resume
 
-Parallel campaigns checkpoint every completed shard and can be resumed
-after a crash.  The layer has two halves:
+Parallel campaigns run with a `checkpoint_dir` checkpoint every
+completed shard and can be resumed after a crash.  The layer has two halves:
 
 * **`repro.core.checkpoint`** — `ShardJournal` persists each shard's
   `ShardResult` with an atomic write-temp → fsync → rename
@@ -377,9 +377,11 @@ after a crash.  The layer has two halves:
   `journal.json` manifest records status
   (`running`/`complete`/`partial`/`failed`), per-shard attempt history,
   and missing personas.
-* **The shard supervisor** (`repro.core.parallel`) — workers publish
-  results through the journal (an ephemeral tempdir when no
-  `checkpoint_dir` is given); the supervisor polls worker liveness,
+* **The shard supervisor** (`repro.core.parallel`) — each worker
+  sends its result (or traceback) over its own pipe, and the supervisor
+  waits on the pipes: EOF without a message is a crash, bytes that do
+  not unpickle are a poisoned result.  Only with `checkpoint_dir` does
+  the supervisor write the journal (never the workers).  It
   restarts crashed workers with a bounded retry budget
   (`max_shard_retries`), and reaps workers hung past a **wall-clock**
   `shard_timeout` (a stuck simulated clock cannot fool the watchdog).

@@ -766,11 +766,7 @@ def run_segment_positions(
     """
     import functools
     import gc
-    import shutil
-    import tempfile
 
-    from repro import __version__
-    from repro.core.checkpoint import ShardJournal
     from repro.core.parallel import _ShardSupervisor
     from repro.core.segments import run_segment_shard, write_segment_batch
     from repro.data.skill_catalog import build_catalog
@@ -838,33 +834,24 @@ def run_segment_positions(
         [p.name for p in shard]
         for shard in shard_personas([roster[pos] for pos in positions], n_workers)
     ]
-    # The journal here is supervisor bookkeeping only (attempt history,
-    # crash/hang/poison recovery) — durability lives in the store's
-    # content-addressed batches, so the journal is ephemeral.
-    journal_root = tempfile.mkdtemp(prefix="repro-segment-journal-")
-    try:
-        journal = ShardJournal(
-            journal_root, seed.root, store.config_fingerprint, plan
-        )
-        journal.reset()
-        journal.write_manifest(status="running", package_version=__version__)
-        supervisor = _ShardSupervisor(
-            journal,
-            seed,
-            config,
-            backend,
-            False,  # collect_obs: segment shards never trace
-            policy,
-            shard_fn=functools.partial(
-                run_segment_shard,
-                store_root=str(store.root),
-                batch_personas=batch_personas,
-                catalog=catalog,
-            ),
-        )
-        _, report = supervisor.run({})
-    finally:
-        shutil.rmtree(journal_root, ignore_errors=True)
+    # Durability lives in the store's content-addressed batches, so the
+    # supervisor keeps no journal here: shard outcomes come back over
+    # its pipes, and a rerun resumes from the store's coverage.
+    supervisor = _ShardSupervisor(
+        plan,
+        seed,
+        config,
+        backend,
+        False,  # collect_obs: segment shards never trace
+        policy,
+        shard_fn=functools.partial(
+            run_segment_shard,
+            store_root=str(store.root),
+            batch_personas=batch_personas,
+            catalog=catalog,
+        ),
+    )
+    _, report = supervisor.run()
     # Workers wrote batches from other processes; drop any coverage scan
     # the caller's handle took before the run.
     store.invalidate_scan()

@@ -4,13 +4,17 @@ The paper's measurement campaign ran for months against live
 infrastructure, where partial failure — a crawler OOM, a hung vantage
 point, a killed process — is the normal case.  The reproduction's
 parallel runner originally shared that fragility: one lost worker
-discarded every completed persona shard.  This module is the durability
-layer underneath the shard supervisor (:mod:`repro.core.parallel`): each
-completed :class:`~repro.core.parallel.ShardResult` is published to an
-on-disk **journal** keyed by seed root, config fingerprint, and the
-shard plan, so a campaign killed mid-run resumes from its completed
-shards and — because shard artifacts are seed-deterministic — produces
-exports byte-identical to an uninterrupted run.
+discarded every completed persona shard.  This module is the optional
+durability layer of the shard supervisor (:mod:`repro.core.parallel`):
+when a campaign runs with ``checkpoint_dir``, the supervisor writes each
+completed :class:`~repro.core.parallel.ShardResult` it received from a
+worker to an on-disk **journal** keyed by seed root, config fingerprint,
+and the shard plan, so a campaign killed mid-run resumes from its
+completed shards and — because shard artifacts are seed-deterministic —
+produces exports byte-identical to an uninterrupted run.  Only the
+supervisor's process writes the journal, and only when checkpointing:
+workers send their results over pipes, and a run without
+``checkpoint_dir`` writes no journal at all.
 
 Durability rules:
 
@@ -321,6 +325,18 @@ class ShardJournal:
                     f"{field}={got!r}, expected {want!r}"
                 )
         return payload["result"]
+
+    def write_corrupt(self, shard_index: int, data: bytes) -> Optional[Path]:
+        """Keep an unreadable worker message as ``*.pkl.corrupt``
+        evidence, under the name :meth:`quarantine` would give it.
+        Best-effort like quarantine: ``None`` when the write failed."""
+        path = self.shard_path(shard_index)
+        target = path.with_name(path.name + ".corrupt")
+        try:
+            atomic_write_bytes(target, data)
+        except OSError:
+            return None
+        return target
 
     def has_entry(self, shard_index: int) -> bool:
         return self.shard_path(shard_index).exists()

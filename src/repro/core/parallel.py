@@ -31,20 +31,30 @@ Crash safety
 ------------
 
 Shards are driven by a **supervisor** rather than a bare futures loop.
-Every worker publishes its :class:`ShardResult` to a
-:class:`~repro.core.checkpoint.ShardJournal` (an ephemeral one when
-checkpointing is off), and the supervisor polls the journal plus worker
-liveness under a wall-clock watchdog:
+Each shard attempt gets its own one-way pipe; the worker (a thread or a
+forked process, one body for both) sends its pickled
+:class:`ShardResult` or its traceback, and the supervisor blocks on the
+live pipes until one is ready or the nearest wall-clock watchdog
+deadline passes:
 
-* a worker that dies without publishing is a **crash** — the shard is
-  requeued up to ``max_shard_retries`` times;
+* a worker that closes its pipe without a message (it died) or sends a
+  traceback is a **crash** — the shard is requeued up to
+  ``max_shard_retries`` times;
 * a worker that exceeds ``shard_timeout`` host seconds is **hung** —
   the watchdog reaps it (``terminate()`` for processes, a cancel event
   for threads) and requeues the shard.  The watchdog reads the host
   clock only; the simulation's :class:`~repro.util.clock.SimClock`
   never gates supervision;
-* a journal entry that fails validation is **poisoned** — quarantined
-  (``*.corrupt``) and the shard requeued.
+* a message that does not unpickle is **poisoned** — the shard is
+  requeued.
+
+The disk is not part of that loop.  Only with ``checkpoint_dir`` does
+the supervisor keep a :class:`~repro.core.checkpoint.ShardJournal`: it
+writes each result there before it counts the shard ``ok``, an
+``.error`` record per failed attempt, a poisoned message's bytes as
+``shard-NNNN.pkl.corrupt`` evidence, and the run manifest.  Workers
+never write the journal, so a worker orphaned by a killed supervisor
+cannot touch it.
 
 What happens when a shard exhausts its attempts is the
 ``on_shard_failure`` policy: ``"retry"`` (default) raises
@@ -67,19 +77,14 @@ from __future__ import annotations
 import gc
 import multiprocessing
 import os
-import shutil
-import tempfile
+import pickle
 import threading
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.checkpoint import (
-    CorruptShardError,
-    ShardJournal,
-    atomic_write_bytes,
-)
+from repro.core.checkpoint import ShardJournal
 from repro.core.experiment import (
     AuditDataset,
     ExperimentConfig,
@@ -93,6 +98,11 @@ from repro.data.websites import WebsiteSpec
 from repro.obs import ObsCollector, merge_collectors
 from repro.util.faults import FaultDraw, FaultTable
 from repro.util.rng import Seed
+
+if TYPE_CHECKING:
+    # Imported at run time by the supervisor, so ``import repro`` (and
+    # every serial campaign) does not load multiprocessing.connection.
+    from multiprocessing.connection import Connection
 
 __all__ = [
     "BACKENDS",
@@ -123,8 +133,15 @@ WORKER_FAULT_KINDS = ("crash", "hang", "poison")
 #: Exit code an injected worker crash dies with (process backend).
 _CRASH_EXIT_CODE = 3
 
-#: Bytes a poisoned worker publishes instead of a valid pickle payload.
+#: Bytes a poisoned worker sends instead of a valid pickle payload.
 _POISON_BYTES = b"poisoned shard result (injected by WorkerFaultPlan)"
+
+#: Read ends of every live shard pipe in this process, across all
+#: supervisors.  A forked worker closes its copies first: a read end
+#: left open in a child keeps that pipe readable after its supervisor
+#: dies, and a worker sending into it would block forever instead of
+#: failing and exiting.
+_LIVE_READERS: Set[Connection] = set()
 
 
 def parallel_map(fn, items, workers=None, backend="thread"):
@@ -356,8 +373,8 @@ class WorkerFaultPlan(FaultDraw):
 
     Mirrors :class:`~repro.netsim.faults.FaultPlan` one level up the
     stack: where that plan fails individual *requests*, this one fails
-    whole *workers* — crash before publishing a result, hang past the
-    watchdog, or publish a poisoned (unreadable) result.  Decisions are
+    whole *workers* — crash before sending a result, hang past the
+    watchdog, or send a poisoned (unreadable) result.  Decisions are
     drawn from :class:`~repro.util.rng.StreamFamily` substreams keyed by
     ``(shard_index, attempt)`` off ``seed.derive("supervisor")``, so a
     given attempt fails identically in every run of the same seed —
@@ -431,8 +448,6 @@ class SupervisorPolicy:
     shard_timeout: Optional[float] = None
     #: Requeues per shard after its first failed attempt.
     max_shard_retries: int = 2
-    #: Supervisor poll cadence (host seconds).
-    poll_interval: float = 0.05
     #: Seeded worker-level fault injection (tests, chaos CI).
     worker_faults: Optional[WorkerFaultPlan] = None
 
@@ -449,10 +464,6 @@ class SupervisorPolicy:
         if self.max_shard_retries < 0:
             raise ValueError(
                 f"max_shard_retries must be >= 0, got {self.max_shard_retries}"
-            )
-        if self.poll_interval <= 0:
-            raise ValueError(
-                f"poll_interval must be positive, got {self.poll_interval}"
             )
 
 
@@ -493,60 +504,9 @@ def _fault_kind(
     return decision.kind if decision is not None else None
 
 
-def _thread_worker(
-    journal: ShardJournal,
-    shard_index: int,
-    attempt: int,
-    seed: Seed,
-    config: ExperimentConfig,
-    persona_names: Sequence[str],
-    collect_obs: bool,
-    fault_plan: Optional[WorkerFaultPlan],
-    shard_fn,
-    cancel_event: threading.Event,
-    result_box: Dict[str, ShardResult],
-    wake: threading.Event,
-) -> None:
-    """Thread-backend worker body: compute one shard, publish to the journal.
-
-    A cancelled (reaped) thread cannot be killed, so it checks the
-    cancel event at every stage and exits without publishing — an
-    abandoned attempt never races the retry that replaced it.  After the
-    journal write lands, the result is also placed in ``result_box`` so
-    the supervisor (same process) skips the disk round trip — the
-    journal stays the durable record, the box is just the fast channel.
-    """
-    try:
-        kind = _fault_kind(fault_plan, shard_index, attempt)
-        if kind == "crash":
-            journal.write_error(
-                shard_index, f"injected worker crash (attempt {attempt})"
-            )
-            return
-        if kind == "hang":
-            cancel_event.wait(fault_plan.hang_seconds)
-            if cancel_event.is_set():
-                return
-        result = shard_fn(shard_index, seed, config, persona_names, collect_obs)
-        if cancel_event.is_set():
-            return
-        if kind == "poison":
-            atomic_write_bytes(journal.shard_path(shard_index), _POISON_BYTES)
-            return
-        journal.write_shard(shard_index, result)
-        result_box["result"] = result
-    except BaseException:
-        if not cancel_event.is_set():
-            try:
-                journal.write_error(shard_index, traceback.format_exc())
-            except OSError:
-                pass
-    finally:
-        wake.set()  # worker is done (published, faulted, or cancelled)
-
-
-def _process_worker(
-    journal: ShardJournal,
+def _shard_worker(
+    conn: Connection,
+    cancel: Optional[threading.Event],
     shard_index: int,
     attempt: int,
     seed: Seed,
@@ -556,55 +516,88 @@ def _process_worker(
     fault_plan: Optional[WorkerFaultPlan],
     shard_fn,
 ) -> None:
-    """Process-backend worker body (module-level so it pickles).
+    """Worker body of both backends: run one shard attempt, send the
+    outcome over ``conn``, close it.
 
-    The first thing it does is ``gc.freeze()``: a forked child inherits
-    the parent's whole heap, and without the freeze every collection in
-    the child (``run_segment_shard`` collects after each batch) walks
-    all of it again.  Freezing moves the inherited objects to the
-    permanent generation, so collections see only what the shard
-    allocates, and the untouched pages stay shared with the parent
-    (the ``gc`` docs recommend this for fork without exec).  Only
-    process workers freeze; the parent and thread workers share one
-    heap whose garbage must stay collectable.
+    The one message is the pickled ``("result", ShardResult)`` or
+    ``("error", traceback)``; an injected poison sends bytes that do not
+    unpickle, and an injected crash closes the pipe unsent (a process
+    dies outright).  Module-level so the process backend can pickle it.
+
+    ``cancel`` is the thread backend's reap signal.  A thread cannot be
+    killed, so it checks the signal after a hang and before sending: an
+    abandoned attempt never competes with the retry that replaced it.
+    A process worker gets ``None`` (the supervisor terminates it),
+    closes the pipe read ends it inherited (see ``_LIVE_READERS``), and
+    calls ``gc.freeze()``: a forked child inherits the parent's
+    whole heap, and without the freeze every collection in the child
+    (``run_segment_shard`` collects after each batch) walks all of it
+    again.  Freezing moves the inherited objects to the permanent
+    generation, so collections see only what the shard allocates, and
+    the untouched pages stay shared with the parent (the ``gc`` docs
+    recommend this for fork without exec).  The parent and thread
+    workers share one heap whose garbage must stay collectable.
     """
-    gc.freeze()
+    forked = cancel is None
+    if forked:
+        for reader in list(_LIVE_READERS):
+            reader.close()
+        gc.freeze()
+        cancel = threading.Event()  # never set: processes are terminated
     try:
         kind = _fault_kind(fault_plan, shard_index, attempt)
-        if kind == "crash":
-            os._exit(_CRASH_EXIT_CODE)  # die before publishing anything
+        if kind == "crash" and forked:
+            os._exit(_CRASH_EXIT_CODE)
         if kind == "hang":
-            time.sleep(fault_plan.hang_seconds)
-        result = shard_fn(shard_index, seed, config, persona_names, collect_obs)
-        if kind == "poison":
-            atomic_write_bytes(journal.shard_path(shard_index), _POISON_BYTES)
+            cancel.wait(fault_plan.hang_seconds)
+        if kind == "crash" or cancel.is_set():
             return
-        journal.write_shard(shard_index, result)
-    except BaseException:
         try:
-            journal.write_error(shard_index, traceback.format_exc())
-        except OSError:
-            pass
-        os._exit(1)
+            result = shard_fn(shard_index, seed, config, persona_names, collect_obs)
+            message = (
+                _POISON_BYTES
+                if kind == "poison"
+                else pickle.dumps(("result", result), pickle.HIGHEST_PROTOCOL)
+            )
+        except BaseException:
+            message = pickle.dumps(("error", traceback.format_exc()))
+        if not cancel.is_set():
+            conn.send_bytes(message)
+    except OSError:
+        pass  # the supervisor closed its end: attempt reaped, or it is gone
+    finally:
+        conn.close()
 
 
 class _WorkerUnit:
-    """One live shard attempt: its handle, deadline, and reaping."""
+    """One live shard attempt: its handle, result pipe, and deadline."""
 
     def __init__(self, backend: str, attempt: int, deadline: Optional[float]):
         self.backend = backend
         self.attempt = attempt
         self.deadline = deadline
-        self.cancel_event = threading.Event()
-        #: In-process fast result channel (thread backend only): holds
-        #: the ShardResult once the journal write has landed, sparing
-        #: the supervisor the pickle round trip through disk.
-        self.result_box: Dict[str, ShardResult] = {}
+        self.cancel = threading.Event()
+        self.reader: Optional[Connection] = None
         self.handle: object = None
 
-    @property
-    def alive(self) -> bool:
-        return self.handle.is_alive()
+    def start(self, args: tuple) -> None:
+        self.reader, writer = multiprocessing.Pipe(duplex=False)
+        _LIVE_READERS.add(self.reader)
+        if self.backend == "process":
+            self.handle = multiprocessing.Process(
+                target=_shard_worker, args=(writer, None) + args, daemon=True
+            )
+            self.handle.start()
+            # The child holds the only write end now, so its exit is EOF
+            # here, and no later fork inherits this pipe's writer.
+            writer.close()
+        else:
+            self.handle = threading.Thread(
+                target=_shard_worker,
+                args=(writer, self.cancel) + args,
+                daemon=True,
+            )
+            self.handle.start()
 
     @property
     def exit_detail(self) -> str:
@@ -612,65 +605,70 @@ class _WorkerUnit:
             return f"worker exit code {self.handle.exitcode}"
         return "worker thread ended"
 
+    def _close_reader(self) -> None:
+        _LIVE_READERS.discard(self.reader)
+        self.reader.close()
+
+    def finish(self) -> None:
+        """Collect a worker whose message (or EOF) has been read."""
+        self._close_reader()
+        self.handle.join(timeout=5.0)
+
     def reap(self) -> None:
         """Stop a hung attempt: terminate the process / cancel the thread."""
+        self._close_reader()
         if self.backend == "process":
             self.handle.terminate()
             self.handle.join(timeout=5.0)
         else:
-            self.cancel_event.set()
-
-    def finalize(self) -> None:
-        """Collect a finished worker (no-op for abandoned threads)."""
-        if self.backend == "process":
-            self.handle.join(timeout=5.0)
-        else:
-            self.cancel_event.set()
-            self.handle.join(timeout=0.1)
+            self.cancel.set()
 
 
 class _ShardSupervisor:
     """Drives every shard to completion (or policy-sanctioned failure).
 
-    The loop is journal-driven: a shard is done when a *valid* journal
-    entry exists for it, regardless of which attempt produced it.
-    Liveness is sampled before the journal is read, so a worker that
-    publishes and exits between two polls is never misread as a crash
-    (publish happens-before exit).
+    Each attempt sends its outcome over its own pipe, and the loop
+    blocks in :func:`multiprocessing.connection.wait` on the live
+    readers until one is ready or the nearest watchdog deadline passes.
+    With a ``journal`` (``checkpoint_dir`` set) the supervisor, and only
+    it, writes each result to the journal before counting the shard
+    ``ok``, an ``.error`` record per failed attempt, the poisoned bytes
+    as ``.corrupt`` evidence, and the run manifest.
     """
 
     def __init__(
         self,
-        journal: ShardJournal,
+        shard_plan: Sequence[Sequence[str]],
         seed: Seed,
         config: ExperimentConfig,
         backend: str,
         collect_obs: bool,
         policy: SupervisorPolicy,
+        *,
         shard_fn=_run_shard,
+        journal: Optional[ShardJournal] = None,
     ) -> None:
-        self.journal = journal
+        self.shard_plan = [list(names) for names in shard_plan]
         self.seed = seed
         self.config = config
         self.backend = backend
         self.collect_obs = collect_obs
         self.policy = policy
         self.shard_fn = shard_fn
+        self.journal = journal
         self._active: Dict[int, _WorkerUnit] = {}
         self._outcomes: Dict[int, List[str]] = {
-            index: [] for index in range(len(journal.shard_plan))
+            index: [] for index in range(len(self.shard_plan))
         }
         self._failed: List[int] = []
-        #: Set by thread workers when they finish, so the supervisor
-        #: wakes immediately instead of sleeping out the poll interval.
-        #: Process workers can't set it; they are caught by the poll.
-        self._wake = threading.Event()
 
     # ------------------------------------------------------------------ #
 
     def run(
         self, preloaded: Optional[Dict[int, ShardResult]] = None
     ) -> Tuple[Dict[int, ShardResult], SupervisorReport]:
+        from multiprocessing.connection import wait
+
         results: Dict[int, ShardResult] = {}
         resumed: List[int] = []
         for index, result in sorted((preloaded or {}).items()):
@@ -680,16 +678,15 @@ class _ShardSupervisor:
 
         raising: Optional[BaseException] = None
         try:
-            for index in range(len(self.journal.shard_plan)):
+            for index in range(len(self.shard_plan)):
                 if index not in results:
                     self._spawn(index, attempt=1)
             while self._active:
-                # Clear before polling: a publish landing mid-poll re-sets
-                # the event, so the wait below returns immediately.
-                self._wake.clear()
-                self._poll(results)
-                if self._active:
-                    self._wake.wait(self.policy.poll_interval)
+                readers = {unit.reader: i for i, unit in self._active.items()}
+                ready = wait(list(readers), timeout=self._timeout())
+                for index in sorted(readers[conn] for conn in ready):
+                    self._collect(index, results)
+                self._reap_overdue()
         except BaseException as exc:
             raising = exc
             raise
@@ -697,18 +694,19 @@ class _ShardSupervisor:
             for unit in self._active.values():
                 unit.reap()
             self._active.clear()
-            missing = self._missing_personas()
-            status = (
-                "failed"
-                if raising is not None
-                else ("partial" if missing else "complete")
-            )
-            self.journal.write_manifest(
-                status=status,
-                attempts=self._outcomes,
-                missing_personas=missing,
-                package_version=_package_version(),
-            )
+            if self.journal is not None:
+                missing = self._missing_personas()
+                status = (
+                    "failed"
+                    if raising is not None
+                    else ("partial" if missing else "complete")
+                )
+                self.journal.write_manifest(
+                    status=status,
+                    attempts=self._outcomes,
+                    missing_personas=missing,
+                    package_version=_package_version(),
+                )
 
         report = SupervisorReport(
             attempts={
@@ -730,68 +728,71 @@ class _ShardSupervisor:
             else None
         )
         unit = _WorkerUnit(self.backend, attempt, deadline)
-        args = (
-            self.journal,
-            index,
-            attempt,
-            self.seed,
-            self.config,
-            list(self.journal.shard_plan[index]),
-            self.collect_obs,
-            self.policy.worker_faults,
-            self.shard_fn,
-        )
-        if self.backend == "process":
-            unit.handle = multiprocessing.Process(
-                target=_process_worker, args=args, daemon=True
-            )
-        else:
-            unit.handle = threading.Thread(
-                target=_thread_worker,
-                args=args + (unit.cancel_event, unit.result_box, self._wake),
-                daemon=True,
-            )
         self._active[index] = unit
-        unit.handle.start()
+        unit.start(
+            (
+                index,
+                attempt,
+                self.seed,
+                self.config,
+                self.shard_plan[index],
+                self.collect_obs,
+                self.policy.worker_faults,
+                self.shard_fn,
+            )
+        )
 
-    def _poll(self, results: Dict[int, ShardResult]) -> None:
+    def _timeout(self) -> Optional[float]:
+        """Seconds until the nearest watchdog deadline (``None``: no
+        deadline, block until a worker sends or exits)."""
+        deadlines = [
+            unit.deadline
+            for unit in self._active.values()
+            if unit.deadline is not None
+        ]
+        if not deadlines:
+            return None
+        return max(0.0, min(deadlines) - time.monotonic())
+
+    def _collect(self, index: int, results: Dict[int, ShardResult]) -> None:
+        """Read a ready worker's one message (or EOF) and account for it."""
+        unit = self._active[index]
+        try:
+            message = unit.reader.recv_bytes()
+        except EOFError:
+            unit.finish()
+            self._fail(
+                index,
+                "crash",
+                f"worker exited without sending a result ({unit.exit_detail})",
+            )
+            return
+        unit.finish()
+        try:
+            tag, payload = pickle.loads(message)
+        except Exception as exc:
+            if self.journal is not None:
+                self.journal.write_corrupt(index, message)
+            self._fail(index, "poison", f"worker sent an unreadable result: {exc!r}")
+            return
+        if tag == "error":
+            self._fail(index, "crash", payload)
+            return
+        if self.journal is not None:
+            try:
+                self.journal.write_shard(index, payload)
+            except OSError:
+                self._fail(index, "crash", traceback.format_exc())
+                return
+        del self._active[index]
+        self._outcomes[index].append("ok")
+        results[index] = payload
+
+    def _reap_overdue(self) -> None:
+        now = time.monotonic()
         for index in sorted(self._active):
             unit = self._active[index]
-            # Fast channel first (thread backend): the box is only set
-            # after the journal write landed, so taking it never skips
-            # durability.
-            boxed = unit.result_box.get("result")
-            if boxed is not None:
-                unit.finalize()
-                del self._active[index]
-                self._outcomes[index].append("ok")
-                results[index] = boxed
-                continue
-            # Sample liveness BEFORE reading the journal: publish
-            # happens-before worker exit, so alive=False with no entry
-            # really is a crash, never a lost result.
-            alive = unit.alive
-            try:
-                result = self.journal.load_shard(index)
-            except CorruptShardError as exc:
-                self.journal.quarantine(index)
-                self._fail(index, "poison", str(exc))
-                continue
-            if result is not None:
-                unit.finalize()
-                del self._active[index]
-                self._outcomes[index].append("ok")
-                results[index] = result
-                continue
-            if not alive:
-                detail = (
-                    self.journal.read_error(index)
-                    or f"worker exited without publishing a result "
-                    f"({unit.exit_detail})"
-                )
-                self._fail(index, "crash", detail)
-                continue
-            if unit.deadline is not None and time.monotonic() > unit.deadline:
+            if unit.deadline is not None and now > unit.deadline:
                 unit.reap()
                 self._fail(
                     index,
@@ -805,6 +806,11 @@ class _ShardSupervisor:
 
         unit = self._active.pop(index)
         self._outcomes[index].append(kind)
+        if self.journal is not None:
+            try:
+                self.journal.write_error(index, detail)
+            except OSError:
+                pass
         attempts_used = unit.attempt
         budget = 1 + self.policy.max_shard_retries
         policy = self.policy.on_shard_failure
@@ -828,7 +834,7 @@ class _ShardSupervisor:
         failed = set(self._failed)
         return tuple(
             name
-            for index, names in enumerate(self.journal.shard_plan)
+            for index, names in enumerate(self.shard_plan)
             for name in names
             if index in failed
         )
@@ -864,8 +870,8 @@ def _run_parallel_experiment(
     ``tests/integration/test_parallel_equivalence.py`` — and with
     ``collect_obs`` the merged trace's simulated-time span tree is
     byte-identical too (``tests/integration/test_obs_equivalence.py``).
-    Completed shards are journaled to ``checkpoint_dir`` (an ephemeral
-    directory when unset); ``resume=True`` loads valid checkpointed
+    With ``checkpoint_dir`` completed shards are journaled there (without
+    it nothing is written to disk); ``resume=True`` loads valid checkpointed
     shards instead of recomputing them, which — shard artifacts being
     seed-deterministic — keeps a killed-and-resumed campaign's exports
     byte-identical to an uninterrupted run's
@@ -888,18 +894,12 @@ def _run_parallel_experiment(
     shards = shard_personas(scaled_roster(config.roster_scale), workers)
     plan = [[p.name for p in shard] for shard in shards]
 
-    ephemeral_root: Optional[str] = None
-    if checkpoint_dir is None:
-        ephemeral_root = tempfile.mkdtemp(prefix="repro-shard-journal-")
-        journal_root = ephemeral_root
-    else:
-        journal_root = checkpoint_dir
-    journal = ShardJournal(
-        journal_root, seed.root, config_fingerprint(config), plan
-    )
-
-    try:
-        preloaded: Dict[int, ShardResult] = {}
+    journal: Optional[ShardJournal] = None
+    preloaded: Dict[int, ShardResult] = {}
+    if checkpoint_dir is not None:
+        journal = ShardJournal(
+            checkpoint_dir, seed.root, config_fingerprint(config), plan
+        )
         if resume:
             journal.validate_for_resume()
             preloaded = journal.load_completed()
@@ -909,13 +909,10 @@ def _run_parallel_experiment(
                 status="running", package_version=_package_version()
             )
 
-        supervisor = _ShardSupervisor(
-            journal, seed, config, backend, collect_obs, policy
-        )
-        results, report = supervisor.run(preloaded)
-    finally:
-        if ephemeral_root is not None:
-            shutil.rmtree(ephemeral_root, ignore_errors=True)
+    supervisor = _ShardSupervisor(
+        plan, seed, config, backend, collect_obs, policy, journal=journal
+    )
+    results, report = supervisor.run(preloaded)
 
     scatter_elapsed = time.perf_counter() - started
     dataset = merge_shard_results(

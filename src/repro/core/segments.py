@@ -1319,7 +1319,7 @@ def run_segment_shard(
     batches — skipping batches already covered, which gives a crashed
     and retried shard persona-granularity resume for free — and returns
     a lightweight, artifact-free :class:`~repro.core.parallel.ShardResult`
-    for the supervisor's journal bookkeeping.  ``catalog`` is passed to
+    for the supervisor's attempt accounting.  ``catalog`` is passed to
     every :func:`write_segment_batch` call (the campaign's shared base
     catalog; forked workers inherit it, threads share it read-only).
     """

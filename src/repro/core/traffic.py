@@ -151,9 +151,9 @@ def analyze_traffic(
     failed: List[str] = []
 
     # Single classification pass: every (org, vendor) pair and every
-    # domain verdict is computed at most once for the whole dataset.
+    # domain verdict is computed at most once for the whole dataset (the
+    # filter list memoizes its verdicts per domain itself).
     class_memo: Dict[Tuple[str, str], OrgClass] = {}
-    is_ad_memo: Dict[str, bool] = {}
     local_hits = 0
 
     def classify(org: str, vendor: str) -> OrgClass:
@@ -165,15 +165,6 @@ def analyze_traffic(
         else:
             local_hits += 1
         return org_class
-
-    def blocked(domain: str) -> bool:
-        nonlocal local_hits
-        verdict = is_ad_memo.get(domain)
-        if verdict is None:
-            is_ad_memo[domain] = verdict = filter_list.is_blocked(domain)
-        else:
-            local_hits += 1
-        return verdict
 
     for artifacts, traffic_list in zip(artifacts_list, traffic_lists):
         persona = artifacts.persona.name
@@ -188,7 +179,7 @@ def analyze_traffic(
                 domain_org[domain] = org
                 org_class = classify(org, vendor)
                 skill_classes[skill_id].add(org_class)
-                is_ad = blocked(domain)
+                is_ad = filter_list.is_blocked(domain)
                 traffic_matrix[(org_class, is_ad)] += requests
                 if org_class == "third party":
                     (at_set if is_ad else fn_set).add(domain)
@@ -204,7 +195,7 @@ def analyze_traffic(
         domain_class[domain] = classify(
             org, next(iter(vendors)) if len(vendors) == 1 else ""
         )
-        domain_is_ad[domain] = blocked(domain)
+        domain_is_ad[domain] = filter_list.is_blocked(domain)
 
     obs.inc(
         "analysis.domain_cache_hits",
@@ -259,7 +250,6 @@ def analyze_traffic_stream(
     skill_classes: Dict[str, Set[OrgClass]] = defaultdict(set)
 
     class_memo: Dict[Tuple[str, str], OrgClass] = {}
-    is_ad_memo: Dict[str, bool] = {}
 
     def classify(org: str, vendor: str) -> OrgClass:
         key = (org, vendor)
@@ -267,12 +257,6 @@ def analyze_traffic_stream(
         if org_class is None:
             class_memo[key] = org_class = _classify_org(org, vendor)
         return org_class
-
-    def blocked(domain: str) -> bool:
-        verdict = is_ad_memo.get(domain)
-        if verdict is None:
-            is_ad_memo[domain] = verdict = filter_list.is_blocked(domain)
-        return verdict
 
     for row in flow_rows:
         persona = row["persona"]
@@ -297,7 +281,7 @@ def analyze_traffic_stream(
         domain_org[domain] = org
         org_class = classify(org, vendor)
         skill_classes[skill_id].add(org_class)
-        is_ad = blocked(domain)
+        is_ad = filter_list.is_blocked(domain)
         traffic_matrix[(org_class, is_ad)] += requests
         if org_class == "third party":
             (at_set if is_ad else fn_set).add(domain)
@@ -313,7 +297,7 @@ def analyze_traffic_stream(
         domain_class[domain] = classify(
             org, next(iter(vendors)) if len(vendors) == 1 else ""
         )
-        domain_is_ad[domain] = blocked(domain)
+        domain_is_ad[domain] = filter_list.is_blocked(domain)
 
     return TrafficAnalysis(
         per_skill=list(per_skill_by_key.values()),

@@ -47,11 +47,12 @@ class RunManifest:
     #: Personas absent from a degraded (partial) merge, in plan order.
     #: A complete run always has an empty tuple here.
     missing_personas: Tuple[str, ...] = ()
-    #: True when the run loaded ≥0 shards from a checkpoint journal via
-    #: ``run_campaign(resume=True, ...)``.
+    #: True when the spec resumed from its checkpoint journal
+    #: (``CampaignSpec.resume``); the journal may have held any number
+    #: of completed shards, none included.
     resumed: bool = False
-    #: True when shard results were journaled to a caller-supplied
-    #: ``checkpoint_dir`` (as opposed to an ephemeral journal).
+    #: True when shard results were journaled to the spec's
+    #: ``checkpoint_dir`` (without one, a parallel run writes no journal).
     checkpointed: bool = False
     #: Host seconds per campaign phase — never reproducible.
     phase_real_seconds: Dict[str, float] = field(default_factory=dict)

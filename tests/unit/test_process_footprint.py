@@ -15,7 +15,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.checkpoint import ShardJournal
 from repro.core.parallel import SupervisorPolicy, _ShardSupervisor
 from repro.util.rng import Seed
 
@@ -58,10 +57,9 @@ def _freeze_count_shard(shard_index, seed, config, persona_names, collect_obs):
     return gc.get_freeze_count()
 
 
-def _run_supervisor(tmp_path, backend):
-    journal = ShardJournal(tmp_path, 2026, "abc123", PLAN)
+def _run_supervisor(backend):
     supervisor = _ShardSupervisor(
-        journal,
+        PLAN,
         Seed(2026),
         None,  # config is opaque to the supervisor; the stub ignores it
         backend,
@@ -73,17 +71,17 @@ def _run_supervisor(tmp_path, backend):
     return results
 
 
-def test_process_workers_freeze_the_inherited_heap(tmp_path):
+def test_process_workers_freeze_the_inherited_heap():
     parent = gc.get_freeze_count()
-    results = _run_supervisor(tmp_path, "process")
+    results = _run_supervisor("process")
     assert sorted(results) == [0, 1]
     assert all(count > parent for count in results.values()), (parent, results)
 
 
 @pytest.mark.parametrize("backend", ["process", "thread"])
-def test_parent_heap_is_never_frozen(tmp_path, backend):
+def test_parent_heap_is_never_frozen(backend):
     before = gc.get_freeze_count()
-    results = _run_supervisor(tmp_path, backend)
+    results = _run_supervisor(backend)
     assert gc.get_freeze_count() == before
     if backend == "thread":
         assert set(results.values()) == {before}

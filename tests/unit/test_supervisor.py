@@ -2,15 +2,25 @@
 
 The supervisor is exercised against a stub shard function (no real
 campaign) so every recovery path — crash requeue, hung-worker reaping,
-poison quarantine, degrade accounting — runs in milliseconds.
+poison quarantine, degrade accounting — runs in milliseconds.  Workers
+send their outcome over a pipe; a journal is written only when the
+supervisor is given one (a checkpointed run).
 """
 
+import os
 import pickle
+import signal
+import subprocess
+import sys
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
 
+from repro.core.campaign import run_campaign, run_segment_campaign
 from repro.core.checkpoint import ShardJournal
+from repro.core.experiment import ExperimentConfig
 from repro.core.parallel import (
     ON_SHARD_FAILURE,
     WORKER_FAULT_KINDS,
@@ -23,6 +33,7 @@ from repro.core.parallel import (
 from repro.util.rng import Seed
 
 PLAN = [["a", "b"], ["c"], ["d", "e"]]
+SRC_DIR = Path(__file__).resolve().parents[2] / "src"
 
 
 def _stub_shard(shard_index, seed, config, persona_names, collect_obs):
@@ -35,17 +46,28 @@ def _slow_stub_shard(shard_index, seed, config, persona_names, collect_obs):
     return f"result-{shard_index}"
 
 
-def _supervisor(tmp_path, policy, backend="thread", shard_fn=_stub_shard):
-    journal = ShardJournal(tmp_path, 2026, "abc123", PLAN)
+#: Bytes in a result large enough to fill any OS pipe buffer many times.
+BIG_RESULT_BYTES = 8 * 1024 * 1024
+
+
+def _big_stub_shard(shard_index, seed, config, persona_names, collect_obs):
+    return bytes([shard_index]) * BIG_RESULT_BYTES
+
+
+def _supervisor(
+    tmp_path, policy, backend="thread", shard_fn=_stub_shard, journaled=True
+):
+    journal = ShardJournal(tmp_path, 2026, "abc123", PLAN) if journaled else None
     return (
         _ShardSupervisor(
-            journal,
+            PLAN,
             Seed(2026),
             None,  # config is opaque to the supervisor; the stub ignores it
             backend,
             False,
             policy,
             shard_fn=shard_fn,
+            journal=journal,
         ),
         journal,
     )
@@ -64,6 +86,38 @@ class TestHealthyRuns:
         assert report.failed_shards == ()
         assert journal.read_manifest()["status"] == "complete"
 
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_results_larger_than_a_pipe_buffer_arrive(self, tmp_path, backend):
+        """The supervisor reads while the worker writes: an 8 MiB result
+        per shard neither deadlocks nor arrives truncated."""
+        supervisor, _ = _supervisor(
+            tmp_path,
+            SupervisorPolicy(shard_timeout=60.0),
+            backend=backend,
+            shard_fn=_big_stub_shard,
+            journaled=False,
+        )
+        results, report = supervisor.run()
+        assert report.attempts == {0: ["ok"], 1: ["ok"], 2: ["ok"]}
+        for index, result in results.items():
+            assert result == bytes([index]) * BIG_RESULT_BYTES
+
+    def test_unjournaled_run_writes_nothing(self, tmp_path):
+        policy = SupervisorPolicy(
+            worker_faults=WorkerFaultPlan.targeted(
+                {(0, 1): "crash", (1, 1): "poison"}
+            )
+        )
+        supervisor, _ = _supervisor(tmp_path, policy, journaled=False)
+        results, report = supervisor.run()
+        assert results == {0: "result-0", 1: "result-1", 2: "result-2"}
+        assert report.attempts == {
+            0: ["crash", "ok"],
+            1: ["poison", "ok"],
+            2: ["ok"],
+        }
+        assert list(tmp_path.iterdir()) == []
+
     def test_preloaded_shards_are_not_recomputed(self, tmp_path):
         policy = SupervisorPolicy()
         supervisor, _ = _supervisor(tmp_path, policy)
@@ -76,15 +130,24 @@ class TestHealthyRuns:
 
 class TestCrashRecovery:
     def test_injected_crash_is_retried(self, tmp_path):
+        self._crash_then_ok(tmp_path, "thread")
+
+    def test_injected_process_crash_is_retried(self, tmp_path):
+        """The process dies outright: EOF on its pipe is the crash."""
+        self._crash_then_ok(tmp_path, "process")
+
+    def _crash_then_ok(self, tmp_path, backend):
         policy = SupervisorPolicy(
             worker_faults=WorkerFaultPlan.targeted({(1, 1): "crash"})
         )
-        supervisor, journal = _supervisor(tmp_path, policy)
+        supervisor, journal = _supervisor(tmp_path, policy, backend=backend)
         results, report = supervisor.run()
         assert results[1] == "result-1"
         assert report.attempts[1] == ["crash", "ok"]
         assert report.retries == 1
         assert journal.read_manifest()["status"] == "complete"
+        # The crash closed the pipe unsent; the supervisor recorded it.
+        assert "without sending a result" in journal.read_error(1)
 
     def test_retry_budget_exhaustion_raises(self, tmp_path):
         schedule = {(1, attempt): "crash" for attempt in (1, 2)}
@@ -176,12 +239,73 @@ class TestWatchdog:
         assert all(outcomes == ["ok"] for outcomes in report.attempts.values())
 
 
+_ORPHAN_SCRIPT = """
+import os, sys, time
+from repro.core.parallel import SupervisorPolicy, _ShardSupervisor
+from repro.util.rng import Seed
+
+def slow_big(shard_index, seed, config, persona_names, collect_obs):
+    open(os.path.join(sys.argv[1], f"worker-{os.getpid()}"), "w").close()
+    time.sleep(1.0)
+    return b"x" * (1 << 20)  # far more than a pipe buffer holds
+
+_ShardSupervisor(
+    [["a"], ["b"], ["c"]], Seed(1), None, "process", False,
+    SupervisorPolicy(), shard_fn=slow_big,
+).run()
+"""
+
+
+def _running(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+class TestOrphanedWorkers:
+    def test_workers_exit_when_the_supervisor_is_killed(self, tmp_path):
+        """A worker whose supervisor died fails its send and exits: no
+        forked sibling keeps the dead supervisor's read ends open."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC_DIR), env.get("PYTHONPATH")])
+        )
+        victim = subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN_SCRIPT, str(tmp_path)], env=env
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while len(list(tmp_path.glob("worker-*"))) < 3:
+                assert time.monotonic() < deadline, "workers never started"
+                time.sleep(0.05)
+        finally:
+            victim.send_signal(signal.SIGKILL)
+            victim.wait(timeout=30)
+        pids = [int(p.name.split("-")[1]) for p in tmp_path.glob("worker-*")]
+        deadline = time.monotonic() + 30
+        while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        stuck = [pid for pid in pids if _running(pid)]
+        for pid in stuck:
+            os.kill(pid, signal.SIGKILL)
+        assert not stuck, f"orphaned workers blocked in send: {stuck}"
+
+
 class TestPoison:
     def test_poisoned_result_is_quarantined_and_retried(self, tmp_path):
+        self._poison_then_ok(tmp_path, "thread")
+
+    def test_poisoned_process_result_is_quarantined_and_retried(self, tmp_path):
+        self._poison_then_ok(tmp_path, "process")
+
+    def _poison_then_ok(self, tmp_path, backend):
         policy = SupervisorPolicy(
             worker_faults=WorkerFaultPlan.targeted({(0, 1): "poison"})
         )
-        supervisor, journal = _supervisor(tmp_path, policy)
+        supervisor, journal = _supervisor(tmp_path, policy, backend=backend)
         results, report = supervisor.run()
         assert results[0] == "result-0"
         assert report.attempts[0] == ["poison", "ok"]
@@ -189,6 +313,9 @@ class TestPoison:
             journal.shard_path(0).name + ".corrupt"
         )
         assert quarantined.is_file()  # evidence preserved for post-mortem
+        with pytest.raises(Exception):
+            pickle.loads(quarantined.read_bytes())
+        assert journal.load_shard(0) == "result-0"  # the retry's entry
 
 
 class TestWorkerFaultPlan:
@@ -268,8 +395,6 @@ class TestPolicyValidation:
             SupervisorPolicy(shard_timeout=0)
         with pytest.raises(ValueError, match="max_shard_retries"):
             SupervisorPolicy(max_shard_retries=-1)
-        with pytest.raises(ValueError, match="poll_interval"):
-            SupervisorPolicy(poll_interval=0)
 
 
 class TestSupervisorReport:
@@ -285,3 +410,51 @@ class TestSupervisorReport:
         assert report.outcome_count("crash") == 1
         assert report.outcome_count("hang") == 1
         assert report.outcome_count("ok") == 2
+
+
+TINY = ExperimentConfig(
+    skills_per_persona=2,
+    pre_iterations=1,
+    post_iterations=1,
+    crawl_sites=2,
+    prebid_discovery_target=5,
+    audio_hours=0.5,
+)
+
+
+@pytest.fixture
+def no_journal(monkeypatch, tmp_path):
+    """Fail any ShardJournal construction; point temp files at tmp_path."""
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a run without checkpoint_dir built a ShardJournal")
+
+    monkeypatch.setattr(ShardJournal, "__init__", refuse)
+    (tmp_path / "tmp").mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    yield tmp_path
+    assert list((tmp_path / "tmp").iterdir()) == []
+
+
+class TestNoCheckpointDir:
+    """Without ``checkpoint_dir`` the supervisor keeps no journal at all."""
+
+    def test_memory_store_parallel_run(self, no_journal):
+        dataset = run_campaign(
+            TINY, Seed(2026), parallel=True, workers=2, backend="thread"
+        )
+        assert dataset.missing_personas == ()
+        assert not list(no_journal.rglob("journal.json"))
+
+    def test_segment_store_parallel_run(self, no_journal):
+        store = run_segment_campaign(
+            TINY,
+            Seed(2026),
+            store_dir=no_journal / "store",
+            parallel=True,
+            workers=2,
+            backend="process",
+        )
+        assert store.status() == "complete"
+        assert not list(no_journal.rglob("journal.json"))
+        assert not list(no_journal.rglob("shard-*"))
