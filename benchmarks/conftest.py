@@ -56,14 +56,14 @@ def pytest_sessionfinish(session, exitstatus):
 @pytest.fixture(scope="session")
 def dataset():
     """The paper-scale campaign (450 skills, 31 crawl iterations, 13
-    personas) under the default seed.
+    personas) under the default seed, run once per session.
 
-    Served from the on-disk dataset cache when warm, *without* the
-    deep-copy on read (``cache_copy=False``): the fixture is already
-    session-shared and the benchmarks only read it, so the copy would
-    buy nothing and cost more than loading the pickle.
+    Always computed by the code under test, never read from the on-disk
+    dataset cache: that cache is keyed by seed and config only, so after
+    a model change a warm cache would serve every benchmark the old
+    results.
     """
-    return run_campaign(seed=42, cache=True, cache_copy=False)
+    return run_campaign(seed=42)
 
 
 @pytest.fixture(scope="session")

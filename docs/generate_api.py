@@ -65,6 +65,12 @@ field):
 }
 ```
 
+`backend` accepts only `"process"`: shard workers are always forked
+processes.  The field stays because schema 1 and every existing spec
+fingerprint include it; the removed `"thread"` value fails with a
+message that names the replacement (omit `backend`, or run with
+`parallel=False`).
+
 ## Longitudinal timelines: `TimelineSpec`
 
 `repro.core.timeline.TimelineSpec` extends the spec contract along the
@@ -398,8 +404,8 @@ the rest.  From the CLI: `python -m repro run --parallel
 --checkpoint-dir DIR [--resume] [--on-shard-failure MODE]
 [--shard-timeout SECONDS]`.  Because shard artifacts are
 seed-deterministic, a resumed run's exports are **byte-identical** to
-an uninterrupted run's, under healthy and mild-faulted networks, on
-both backends (`tests/integration/test_resume_determinism.py`; CI's
+an uninterrupted run's, under healthy and mild-faulted networks
+(`tests/integration/test_resume_determinism.py`; CI's
 `chaos-smoke` job kills a worker for real and diffs).  The manifest
 schema (v3) records `shard_attempts`, `missing_personas`, `resumed`,
 and `checkpointed`.
@@ -442,15 +448,14 @@ none of it moves an exported byte
   `FilterList.is_blocked` cache per-domain answers (the underlying
   entity DB, WHOIS answers, and rule set are immutable for a built
   world); `analyze_traffic` classifies each distinct domain and
-  `(org, vendor)` pair once and can fan its per-persona resolution
-  across workers (`analyze_traffic(..., workers=4)`) with identical
-  results.  Repeat lookups the caches absorbed are counted as
-  `analysis.domain_cache_hits`.  Both caches are always on.
+  `(org, vendor)` pair once.  Repeat lookups the caches absorbed are
+  counted as `analysis.domain_cache_hits`.  Both caches are always on.
 * **Copy-on-read cache** — `DatasetCache.read(seed_root, config,
   copy=True)` replaces `get_or_run` (which survives as a deep-copy
   alias).  `copy=False` aliases the cached instance for read-only
-  consumers — `run_campaign(..., cache=True, cache_copy=False)`, the
-  CLI's `--cache` flag, and the benchmark session dataset all use it.
+  consumers — `run_campaign(..., cache=True, cache_copy=False)` and the
+  CLI's `--cache` flag use it.  The benchmark session dataset never
+  reads the cache (its key holds no code digest).
   `CACHE_SCHEMA_VERSION` is 5 (`AuditDataset` gained
   `missing_personas`); older pickles are recomputed, and a corrupt
   entry is quarantined to `*.corrupt` with a warning and treated as a
@@ -521,7 +526,7 @@ one entrypoint used by the CLI, the service, tests, and benchmarks.
 | legacy call | replacement |
 |---|---|
 | `run_experiment(seed, config)` | `run_campaign(config, seed)` |
-| `run_parallel_experiment(seed, config, workers=4, backend="process")` | `run_campaign(config, seed, parallel=True, workers=4, backend="process")` |
+| `run_parallel_experiment(seed, config, workers=4, backend="process")` | `run_campaign(config, seed, parallel=True, workers=4)` |
 | `run_cached_experiment(seed_root, config)` | `run_campaign(config, seed_root, cache=True)` |
 
 Note the argument order: `run_campaign` takes `(config, seed)` — config

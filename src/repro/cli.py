@@ -15,9 +15,8 @@ Commands
 ``version``    print the package version
 
 Every campaign-running command shares one flag set (``--seed``,
-``--small``, ``--parallel``, ``--workers``, ``--backend``, ``--faults``,
-``--cache``, ``--quiet``, ``--trace-out``, ``--metrics-out``) and goes
-through
+``--small``, ``--parallel``, ``--workers``, ``--faults``, ``--cache``,
+``--quiet``, ``--trace-out``, ``--metrics-out``) and goes through
 :func:`repro.core.run_campaign`.  ``run`` additionally exposes the
 crash-safety knobs (``--checkpoint-dir``, ``--resume``,
 ``--on-shard-failure``, ``--shard-timeout``) and accepts a serialized
@@ -106,12 +105,6 @@ def _campaign_parent(common: argparse.ArgumentParser) -> argparse.ArgumentParser
     )
     parent.add_argument(
         "--workers", type=int, default=4, help="worker count for --parallel"
-    )
-    parent.add_argument(
-        "--backend",
-        choices=("process", "thread"),
-        default="process",
-        help="executor backend for --parallel",
     )
     parent.add_argument(
         "--faults",
@@ -340,9 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=4, help="worker count for --parallel"
     )
     tgen.add_argument(
-        "--backend", choices=("process", "thread"), default="process"
-    )
-    tgen.add_argument(
         "--faults", metavar="PROFILE", default="none",
         help="network fault profile for every epoch (none|mild|harsh|rate)",
     )
@@ -439,7 +429,6 @@ def _run_campaign_from_args(args, config: Optional[ExperimentConfig] = None):
         args.seed,
         parallel=args.parallel,
         workers=args.workers if args.parallel else None,
-        backend=args.backend,
         cache=True if use_cache else None,
         cache_copy=not use_cache,
         checkpoint_dir=getattr(args, "checkpoint_dir", None),
@@ -499,7 +488,6 @@ def _spec_from_run_args(args) -> Optional[CampaignSpec]:
             seed=args.seed,
             parallel=args.parallel,
             workers=args.workers if args.parallel else None,
-            backend=args.backend,
             store="segments",
             store_dir=args.store_dir,
             on_shard_failure=args.on_shard_failure,
@@ -517,7 +505,6 @@ def _spec_from_run_args(args) -> Optional[CampaignSpec]:
         seed=args.seed,
         parallel=args.parallel,
         workers=args.workers if args.parallel else None,
-        backend=args.backend,
         # the CLI only reads the dataset, so a cache hit is aliased
         cache=cache_root,
         cache_copy=not args.cache,
@@ -541,7 +528,6 @@ def _cmd_run(args) -> int:
                 ("--seed", args.seed != 42),
                 ("--small", args.small),
                 ("--parallel", args.parallel),
-                ("--backend", args.backend != "process"),
                 ("--faults", args.faults != "none"),
                 ("--cache", args.cache),
                 ("--store", args.store != "memory"),
@@ -590,7 +576,6 @@ def _cmd_timeline(args) -> int:
             seed=args.seed,
             parallel=args.parallel,
             workers=args.workers if args.parallel else None,
-            backend=args.backend,
             store="segments",
         )
         spec = TimelineSpec.generate(

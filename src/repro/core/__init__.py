@@ -63,7 +63,6 @@ from repro.core.parallel import (
     SupervisorPolicy,
     SupervisorReport,
     WorkerFaultPlan,
-    parallel_map,
     shard_personas,
 )
 from repro.core.personas import (
@@ -147,7 +146,6 @@ __all__ = [
     "install_storage_faults",
     "interest_personas",
     "mann_whitney_u",
-    "parallel_map",
     "partner_split",
     "persona_stream_records",
     "policy_availability",

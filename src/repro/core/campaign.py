@@ -24,8 +24,7 @@ The kwargs form survives as a thin shim that builds a spec and
 delegates::
 
     dataset = run_campaign(config, seed)                     # serial
-    dataset = run_campaign(config, seed, parallel=True,
-                           workers=4, backend="process")     # sharded
+    dataset = run_campaign(config, seed, parallel=True, workers=4)  # sharded
     dataset = run_campaign(config, seed, cache=True)         # cached
 
 Observability is on by default: every run traces into an
@@ -46,6 +45,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
@@ -164,7 +164,9 @@ class CampaignSpec:
     parallel: bool = False
     #: Worker count (``None`` → default 2; only valid with ``parallel``).
     workers: Optional[int] = None
-    #: Parallel backend: ``"process"`` or ``"thread"``.
+    #: Parallel backend.  ``"process"`` (forked workers) is the only
+    #: value; the field stays because it is part of the schema-1 JSON
+    #: form and of every spec fingerprint.
     backend: str = "process"
     #: Dataset-cache root directory, or ``None`` for no cache.  Serial
     #: memory-store campaigns only.
@@ -207,7 +209,15 @@ class CampaignSpec:
             )
         if self.backend not in BACKENDS:
             raise ValueError(
-                f"backend must be one of {BACKENDS}, got {self.backend!r}"
+                f"backend {self.backend!r} is not supported: shard workers "
+                "are always forked processes (the thread backend was "
+                "removed) — omit backend or set it to \"process\", or run "
+                "with parallel=False"
+            )
+        if self.parallel and "fork" not in multiprocessing.get_all_start_methods():
+            raise ValueError(
+                "parallel=True needs the fork start method, which this "
+                "platform lacks — run with parallel=False"
             )
         if self.on_shard_failure not in ON_SHARD_FAILURE:
             raise ValueError(
@@ -384,7 +394,6 @@ def run_campaign(
     *,
     parallel: bool = False,
     workers: Optional[int] = None,
-    backend: str = "process",
     cache=None,
     cache_copy: bool = True,
     obs: Union[None, bool, ObsCollector] = None,
@@ -434,7 +443,6 @@ def run_campaign(
             "seed": (seed, 42),
             "parallel": (parallel, False),
             "workers": (workers, None),
-            "backend": (backend, "process"),
             "cache": (cache, None),
             "cache_copy": (cache_copy, True),
             "obs": (obs, None),
@@ -472,7 +480,6 @@ def run_campaign(
         seed=seed_obj.root,
         parallel=parallel,
         workers=workers,
-        backend=backend,
         cache=None if cache_store is None else str(cache_store.root),
         cache_copy=cache_copy,
         obs=obs is not False,
@@ -514,7 +521,6 @@ def _execute(
             store_dir=spec.store_dir,
             parallel=spec.parallel,
             workers=spec.workers,
-            backend=spec.backend,
             batch_personas=spec.batch_personas,
             on_shard_failure=spec.on_shard_failure,
             shard_timeout=spec.shard_timeout,
@@ -549,7 +555,6 @@ def _execute(
             seed,
             config,
             workers=n_workers,
-            backend=spec.backend,
             collect_obs=collector.enabled,
             checkpoint_dir=spec.checkpoint_dir,
             resume=spec.resume,
@@ -657,7 +662,6 @@ def run_segment_campaign(
     store_dir: Union[str, Path],
     parallel: bool = False,
     workers: Optional[int] = None,
-    backend: str = "process",
     batch_personas: int = 1,
     on_shard_failure: str = "retry",
     shard_timeout: Optional[float] = None,
@@ -716,7 +720,6 @@ def run_segment_campaign(
         range(len(names)),
         parallel=parallel,
         workers=workers,
-        backend=backend,
         batch_personas=batch_personas,
         on_shard_failure=on_shard_failure,
         shard_timeout=shard_timeout,
@@ -743,7 +746,6 @@ def run_segment_positions(
     *,
     parallel: bool = False,
     workers: Optional[int] = None,
-    backend: str = "process",
     batch_personas: int = 1,
     on_shard_failure: str = "retry",
     shard_timeout: Optional[float] = None,
@@ -783,7 +785,7 @@ def run_segment_positions(
     pending = [pos for pos in positions if pos not in covered]
     # Unchurned on purpose: build_world churns each world on top of it.
     # Built before any worker starts, so forked shards inherit it (and
-    # freeze it with the rest of their heap) and thread shards share it.
+    # freeze it with the rest of their heap).
     catalog = build_catalog(seed) if pending else None
 
     if not parallel:
@@ -841,7 +843,6 @@ def run_segment_positions(
         plan,
         seed,
         config,
-        backend,
         False,  # collect_obs: segment shards never trace
         policy,
         shard_fn=functools.partial(

@@ -210,12 +210,11 @@ class StorageFaultPlan(FaultDraw):
     decision in every run of the same seed — regardless of what other
     components interleave with it.
 
-    Thread-safe: worker threads of a parallel campaign share one plan.
-    Counters (:meth:`snapshot`) are process-local — faults injected
-    inside process-backend workers are counted in the worker, not here.
-    Checkpoint-journal writes are made by the shard supervisor in the
-    parent process, so their counters always land in the parent's plan;
-    a process worker counts only its own writes (segment batches).
+    Thread-safe.  Counters (:meth:`snapshot`) are process-local — faults
+    injected inside forked shard workers are counted in the worker, not
+    here.  Checkpoint-journal writes are made by the shard supervisor in
+    the parent process, so their counters always land in the parent's
+    plan; a worker counts only its own writes (segment batches).
     """
 
     def __init__(self, seed: Seed, profile: StorageFaultProfile) -> None:

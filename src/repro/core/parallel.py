@@ -23,26 +23,25 @@ Determinism rules the merge relies on:
   concatenating shard lists in shard order matches the serial list.
 
 Workers return :class:`ShardResult`, a world-free bundle that pickles
-cleanly for the process backend (a live world holds service closures,
-which do not pickle).  The merged dataset carries a fresh
+cleanly across the process boundary (a live world holds service
+closures, which do not pickle).  The merged dataset carries a fresh
 ``build_world(seed)`` as its generative-truth handle.
 
 Crash safety
 ------------
 
 Shards are driven by a **supervisor** rather than a bare futures loop.
-Each shard attempt gets its own one-way pipe; the worker (a thread or a
-forked process, one body for both) sends its pickled
-:class:`ShardResult` or its traceback, and the supervisor blocks on the
-live pipes until one is ready or the nearest wall-clock watchdog
-deadline passes:
+Each shard attempt gets its own one-way pipe; the worker (a forked
+process) sends its pickled :class:`ShardResult` or its traceback, and
+the supervisor blocks on the live pipes until one is ready or the
+nearest wall-clock watchdog deadline passes:
 
 * a worker that closes its pipe without a message (it died) or sends a
   traceback is a **crash** — the shard is requeued up to
   ``max_shard_retries`` times;
 * a worker that exceeds ``shard_timeout`` host seconds is **hung** —
-  the watchdog reaps it (``terminate()`` for processes, a cancel event
-  for threads) and requeues the shard.  The watchdog reads the host
+  the watchdog kills it (SIGKILL, which no inherited signal handler
+  can intercept) and requeues the shard.  The watchdog reads the host
   clock only; the simulation's :class:`~repro.util.clock.SimClock`
   never gates supervision;
 * a message that does not unpickle is **poisoned** — the shard is
@@ -78,7 +77,6 @@ import gc
 import multiprocessing
 import os
 import pickle
-import threading
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -103,6 +101,7 @@ if TYPE_CHECKING:
     # Imported at run time by the supervisor, so ``import repro`` (and
     # every serial campaign) does not load multiprocessing.connection.
     from multiprocessing.connection import Connection
+    from multiprocessing.process import BaseProcess
 
 __all__ = [
     "BACKENDS",
@@ -113,15 +112,15 @@ __all__ = [
     "SupervisorPolicy",
     "SupervisorReport",
     "WorkerFaultPlan",
-    "parallel_map",
     "shard_personas",
     "merge_shard_results",
 ]
 
-#: Worker backends: "process" sidesteps the GIL (the campaign is pure
-#: Python, so threads add no speedup); "thread" avoids fork/pickle cost
-#: and is what the determinism tests exercise cheaply.
-BACKENDS = ("process", "thread")
+#: Worker backends.  Shard workers are always forked processes: the
+#: campaign is pure Python under one GIL, so only a process gains from
+#: running personas side by side.  Kept as a tuple because
+#: ``CampaignSpec.backend`` (spec schema 1) still names it.
+BACKENDS = ("process",)
 
 #: Supervisor policies for a shard that exhausts its attempts.
 ON_SHARD_FAILURE = ("retry", "degrade", "raise")
@@ -130,7 +129,7 @@ ON_SHARD_FAILURE = ("retry", "degrade", "raise")
 #: part of the deterministic contract, as in ``netsim.faults``).
 WORKER_FAULT_KINDS = ("crash", "hang", "poison")
 
-#: Exit code an injected worker crash dies with (process backend).
+#: Exit code an injected worker crash dies with.
 _CRASH_EXIT_CODE = 3
 
 #: Bytes a poisoned worker sends instead of a valid pickle payload.
@@ -142,31 +141,6 @@ _POISON_BYTES = b"poisoned shard result (injected by WorkerFaultPlan)"
 #: dies, and a worker sending into it would block forever instead of
 #: failing and exiting.
 _LIVE_READERS: Set[Connection] = set()
-
-
-def parallel_map(fn, items, workers=None, backend="thread"):
-    """Order-preserving map with optional worker fan-out.
-
-    ``workers=None`` (or ``<= 1``) runs serially in the caller's thread —
-    the default.  With more workers the items are mapped across a thread
-    or process pool, but results always come back in *input* order, not
-    completion order, so downstream aggregation stays deterministic
-    either way.  The process backend requires ``fn`` and every item to
-    pickle; shared mutable state on ``fn`` (e.g. memo caches) is only
-    shared under the thread backend.
-    """
-    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-
-    items = list(items)
-    if workers is None or workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    executor_cls = (
-        ProcessPoolExecutor if backend == "process" else ThreadPoolExecutor
-    )
-    with executor_cls(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass
@@ -221,7 +195,6 @@ def _run_shard(
 ) -> ShardResult:
     """Run the campaign for one persona subset in a private world.
 
-    Module-level (not a closure) so the process backend can pickle it.
     The world is rebuilt inside the worker from the shared root seed:
     worlds hold unpicklable service closures and must never cross the
     process boundary.  With ``collect_obs`` the worker traces into a
@@ -506,7 +479,6 @@ def _fault_kind(
 
 def _shard_worker(
     conn: Connection,
-    cancel: Optional[threading.Event],
     shard_index: int,
     attempt: int,
     seed: Seed,
@@ -516,42 +488,32 @@ def _shard_worker(
     fault_plan: Optional[WorkerFaultPlan],
     shard_fn,
 ) -> None:
-    """Worker body of both backends: run one shard attempt, send the
-    outcome over ``conn``, close it.
+    """Forked worker body: run one shard attempt, send the outcome over
+    ``conn``, close it.
 
     The one message is the pickled ``("result", ShardResult)`` or
     ``("error", traceback)``; an injected poison sends bytes that do not
-    unpickle, and an injected crash closes the pipe unsent (a process
-    dies outright).  Module-level so the process backend can pickle it.
+    unpickle, an injected crash exits without sending, and an injected
+    hang sleeps until the watchdog kills the process.
 
-    ``cancel`` is the thread backend's reap signal.  A thread cannot be
-    killed, so it checks the signal after a hang and before sending: an
-    abandoned attempt never competes with the retry that replaced it.
-    A process worker gets ``None`` (the supervisor terminates it),
-    closes the pipe read ends it inherited (see ``_LIVE_READERS``), and
-    calls ``gc.freeze()``: a forked child inherits the parent's
-    whole heap, and without the freeze every collection in the child
-    (``run_segment_shard`` collects after each batch) walks all of it
-    again.  Freezing moves the inherited objects to the permanent
-    generation, so collections see only what the shard allocates, and
-    the untouched pages stay shared with the parent (the ``gc`` docs
-    recommend this for fork without exec).  The parent and thread
-    workers share one heap whose garbage must stay collectable.
+    The worker first closes the pipe read ends it inherited (see
+    ``_LIVE_READERS``) and calls ``gc.freeze()``: a forked child
+    inherits the parent's whole heap, and without the freeze every
+    collection in the child (``run_segment_shard`` collects after each
+    batch) walks all of it again.  Freezing moves the inherited objects
+    to the permanent generation, so collections see only what the shard
+    allocates, and the untouched pages stay shared with the parent (the
+    ``gc`` docs recommend this for fork without exec).
     """
-    forked = cancel is None
-    if forked:
-        for reader in list(_LIVE_READERS):
-            reader.close()
-        gc.freeze()
-        cancel = threading.Event()  # never set: processes are terminated
+    for reader in list(_LIVE_READERS):
+        reader.close()
+    gc.freeze()
     try:
         kind = _fault_kind(fault_plan, shard_index, attempt)
-        if kind == "crash" and forked:
+        if kind == "crash":
             os._exit(_CRASH_EXIT_CODE)
         if kind == "hang":
-            cancel.wait(fault_plan.hang_seconds)
-        if kind == "crash" or cancel.is_set():
-            return
+            time.sleep(fault_plan.hang_seconds)
         try:
             result = shard_fn(shard_index, seed, config, persona_names, collect_obs)
             message = (
@@ -561,49 +523,35 @@ def _shard_worker(
             )
         except BaseException:
             message = pickle.dumps(("error", traceback.format_exc()))
-        if not cancel.is_set():
-            conn.send_bytes(message)
+        conn.send_bytes(message)
     except OSError:
-        pass  # the supervisor closed its end: attempt reaped, or it is gone
+        pass  # the supervisor closed its end: it is gone
     finally:
         conn.close()
 
 
 class _WorkerUnit:
-    """One live shard attempt: its handle, result pipe, and deadline."""
+    """One live shard attempt: its process, result pipe, and deadline."""
 
-    def __init__(self, backend: str, attempt: int, deadline: Optional[float]):
-        self.backend = backend
+    def __init__(self, attempt: int, deadline: Optional[float]):
         self.attempt = attempt
         self.deadline = deadline
-        self.cancel = threading.Event()
         self.reader: Optional[Connection] = None
-        self.handle: object = None
+        self.process: Optional[BaseProcess] = None
 
     def start(self, args: tuple) -> None:
-        self.reader, writer = multiprocessing.Pipe(duplex=False)
+        # Pinned to fork: workers inherit the parent's heap (the shared
+        # skill catalog, then gc.freeze()) and its live pipe readers.
+        context = multiprocessing.get_context("fork")
+        self.reader, writer = context.Pipe(duplex=False)
         _LIVE_READERS.add(self.reader)
-        if self.backend == "process":
-            self.handle = multiprocessing.Process(
-                target=_shard_worker, args=(writer, None) + args, daemon=True
-            )
-            self.handle.start()
-            # The child holds the only write end now, so its exit is EOF
-            # here, and no later fork inherits this pipe's writer.
-            writer.close()
-        else:
-            self.handle = threading.Thread(
-                target=_shard_worker,
-                args=(writer, self.cancel) + args,
-                daemon=True,
-            )
-            self.handle.start()
-
-    @property
-    def exit_detail(self) -> str:
-        if self.backend == "process":
-            return f"worker exit code {self.handle.exitcode}"
-        return "worker thread ended"
+        self.process = context.Process(
+            target=_shard_worker, args=(writer,) + args, daemon=True
+        )
+        self.process.start()
+        # The child holds the only write end now, so its exit is EOF
+        # here, and no later fork inherits this pipe's writer.
+        writer.close()
 
     def _close_reader(self) -> None:
         _LIVE_READERS.discard(self.reader)
@@ -612,16 +560,15 @@ class _WorkerUnit:
     def finish(self) -> None:
         """Collect a worker whose message (or EOF) has been read."""
         self._close_reader()
-        self.handle.join(timeout=5.0)
+        self.process.join(timeout=5.0)
 
     def reap(self) -> None:
-        """Stop a hung attempt: terminate the process / cancel the thread."""
+        """Kill a hung attempt.  SIGKILL, not SIGTERM: a worker forked
+        from a process with a SIGTERM handler (``repro serve`` sets one)
+        inherits it and would survive ``terminate()``."""
         self._close_reader()
-        if self.backend == "process":
-            self.handle.terminate()
-            self.handle.join(timeout=5.0)
-        else:
-            self.cancel.set()
+        self.process.kill()
+        self.process.join(timeout=5.0)
 
 
 class _ShardSupervisor:
@@ -641,7 +588,6 @@ class _ShardSupervisor:
         shard_plan: Sequence[Sequence[str]],
         seed: Seed,
         config: ExperimentConfig,
-        backend: str,
         collect_obs: bool,
         policy: SupervisorPolicy,
         *,
@@ -651,7 +597,6 @@ class _ShardSupervisor:
         self.shard_plan = [list(names) for names in shard_plan]
         self.seed = seed
         self.config = config
-        self.backend = backend
         self.collect_obs = collect_obs
         self.policy = policy
         self.shard_fn = shard_fn
@@ -727,7 +672,7 @@ class _ShardSupervisor:
             if self.policy.shard_timeout is not None
             else None
         )
-        unit = _WorkerUnit(self.backend, attempt, deadline)
+        unit = _WorkerUnit(attempt, deadline)
         self._active[index] = unit
         unit.start(
             (
@@ -764,7 +709,8 @@ class _ShardSupervisor:
             self._fail(
                 index,
                 "crash",
-                f"worker exited without sending a result ({unit.exit_detail})",
+                "worker exited without sending a result "
+                f"(worker exit code {unit.process.exitcode})",
             )
             return
         unit.finish()
@@ -855,7 +801,6 @@ def _run_parallel_experiment(
     seed: Seed,
     config: ExperimentConfig = ExperimentConfig(),
     workers: int = 2,
-    backend: str = "process",
     collect_obs: bool = False,
     *,
     checkpoint_dir=None,
@@ -866,7 +811,7 @@ def _run_parallel_experiment(
 
     Internal parallel engine behind :func:`repro.core.run_campaign`.
     The exported form of the returned dataset is bit-identical to the
-    serial campaign's for any worker count and either backend — see
+    serial campaign's for any worker count — see
     ``tests/integration/test_parallel_equivalence.py`` — and with
     ``collect_obs`` the merged trace's simulated-time span tree is
     byte-identical too (``tests/integration/test_obs_equivalence.py``).
@@ -882,8 +827,6 @@ def _run_parallel_experiment(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
     if resume and checkpoint_dir is None:
         raise ValueError("resume=True requires checkpoint_dir")
     policy = policy if policy is not None else SupervisorPolicy()
@@ -910,7 +853,7 @@ def _run_parallel_experiment(
             )
 
     supervisor = _ShardSupervisor(
-        plan, seed, config, backend, collect_obs, policy, journal=journal
+        plan, seed, config, collect_obs, policy, journal=journal
     )
     results, report = supervisor.run(preloaded)
 

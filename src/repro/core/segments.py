@@ -1312,16 +1312,18 @@ def run_segment_shard(
 ):
     """Supervisor shard body that emits segments instead of artifacts.
 
-    Drop-in for :func:`repro.core.parallel._run_shard` (module-level so
-    the process backend can pickle it through ``functools.partial``):
-    instead of returning a pickled dataset bundle, the worker writes its
-    personas' segments straight to the store in ``batch_personas``-sized
-    batches — skipping batches already covered, which gives a crashed
-    and retried shard persona-granularity resume for free — and returns
-    a lightweight, artifact-free :class:`~repro.core.parallel.ShardResult`
-    for the supervisor's attempt accounting.  ``catalog`` is passed to
-    every :func:`write_segment_batch` call (the campaign's shared base
-    catalog; forked workers inherit it, threads share it read-only).
+    Drop-in for :func:`repro.core.parallel._run_shard`: instead of
+    returning a pickled dataset bundle, the worker writes its personas'
+    segments straight to the store in ``batch_personas``-sized batches —
+    skipping positions covered when the attempt starts, which gives a
+    crashed and retried shard persona-granularity resume for free — and
+    returns a lightweight, artifact-free
+    :class:`~repro.core.parallel.ShardResult` for the supervisor's
+    attempt accounting.  One coverage scan per attempt is enough: shards
+    own disjoint positions, and a failed attempt is dead (exited, or
+    killed by the watchdog) before its retry starts.  ``catalog`` is
+    passed to every :func:`write_segment_batch` call (the campaign's
+    shared base catalog, which forked workers inherit).
     """
     from repro.core.cache import config_fingerprint
     from repro.core.parallel import ShardResult
@@ -1342,18 +1344,9 @@ def run_segment_shard(
     covered = store.covered_positions()
     pending = [pos for pos in positions if pos not in covered]
     for start in range(0, len(pending), step):
-        chunk = pending[start : start + step]
-        # Re-scan: another attempt of this shard (reaped as hung but
-        # still running) may have covered these positions meanwhile.
-        store.invalidate_scan()
-        fresh = store.covered_positions()
-        chunk = [pos for pos in chunk if pos not in fresh]
-        if not chunk:
-            continue
-        try:
-            write_segment_batch(store, seed, config, chunk, catalog)
-        except PositionsCoveredError:
-            store.invalidate_scan()  # lost the race; identical bytes won
+        write_segment_batch(
+            store, seed, config, pending[start : start + step], catalog
+        )
         # Collect the batch's cyclic world/runner graph immediately so a
         # worker's peak memory is one batch, not GC-schedule-dependent.
         gc.collect()

@@ -594,7 +594,6 @@ def run_timeline_epoch(
         pending,
         parallel=spec.base.parallel,
         workers=spec.base.workers,
-        backend=spec.base.backend,
         batch_personas=spec.base.batch_personas,
         on_shard_failure=spec.base.on_shard_failure,
         shard_timeout=spec.base.shard_timeout,

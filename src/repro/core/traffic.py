@@ -8,13 +8,11 @@ read here.
 
 from __future__ import annotations
 
-import functools
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Set, Tuple
 
 from repro.core.experiment import AuditDataset, PersonaArtifacts
-from repro.core.parallel import parallel_map
 from repro.netsim.pcap import CaptureSession
 from repro.obs.collector import NULL_OBS
 from repro.orgmap.filterlists import FilterList
@@ -107,9 +105,6 @@ def analyze_traffic(
     resolver: OrgResolver,
     filter_list: FilterList,
     vendor_by_skill: Mapping[str, str],
-    *,
-    workers: Optional[int] = None,
-    backend: str = "thread",
 ) -> TrafficAnalysis:
     """Run the §4 pipeline over all per-skill captures.
 
@@ -118,28 +113,15 @@ def analyze_traffic(
     only to tell first-party (vendor-owned) endpoints from third parties,
     exactly as the paper does.
 
-    The expensive half — resolving every flow of every capture to a
-    domain and organization — is independent per persona, so with
-    ``workers > 1`` it fans out across :func:`repro.core.parallel.parallel_map`
-    while the aggregation below stays serial and in roster order; the
-    result is identical for any worker count.  Domain classification is
-    a single memoized pass: each distinct ``(org, vendor)`` pair and each
-    distinct domain is classified once, however many skills contact it.
-    Repeat lookups avoided by the resolver/filter-list/classification
-    caches are counted on ``dataset.obs`` as ``analysis.domain_cache_hits``
-    (in-process hits only: the process backend's worker-side resolver
-    copies do not report back).
+    Every flow of every capture is resolved to a domain and organization
+    per persona, then aggregated in roster order.  Domain classification
+    is a single memoized pass: each distinct ``(org, vendor)`` pair and
+    each distinct domain is classified once, however many skills contact
+    it.  Repeat lookups avoided by the resolver/filter-list/classification
+    caches are counted on ``dataset.obs`` as ``analysis.domain_cache_hits``.
     """
     obs = dataset.obs if dataset.obs is not None else NULL_OBS
     hits_start = resolver.cache_hits + filter_list.cache_hits
-
-    artifacts_list = list(dataset.interest_personas)
-    traffic_lists = parallel_map(
-        functools.partial(_persona_traffic, resolver=resolver),
-        artifacts_list,
-        workers=workers,
-        backend=backend,
-    )
 
     per_skill: List[SkillTraffic] = []
     skills_by_domain: Dict[str, Set[str]] = defaultdict(set)
@@ -166,11 +148,11 @@ def analyze_traffic(
             local_hits += 1
         return org_class
 
-    for artifacts, traffic_list in zip(artifacts_list, traffic_lists):
+    for artifacts in dataset.interest_personas:
         persona = artifacts.persona.name
         at_set, fn_set = persona_third_party.setdefault(persona, (set(), set()))
         failed.extend(artifacts.install_failures)
-        for traffic in traffic_list:
+        for traffic in _persona_traffic(artifacts, resolver):
             skill_id = traffic.skill_id
             per_skill.append(traffic)
             vendor = vendor_by_skill.get(skill_id, "")
@@ -316,11 +298,7 @@ def analyze_traffic_stream(
 def _persona_traffic(
     artifacts: PersonaArtifacts, resolver: OrgResolver
 ) -> List[SkillTraffic]:
-    """Resolve one persona's captures — the parallelizable unit of §4.
-
-    Module-level (not a closure) so the process backend can pickle it
-    via :func:`functools.partial`.
-    """
+    """Resolve one persona's captures."""
     persona = artifacts.persona.name
     return [
         _skill_traffic(skill_id, persona, capture, resolver)

@@ -12,9 +12,9 @@ behind it), and a big campaign can never be starved by a stream of
 small ones (they queue behind *it*).
 
 Every admitted job runs on its own thread; the campaign itself may then
-fan out into processes (``backend="process"``) inside its token
-allowance.  Scheduler behaviour is observable through the ``service.*``
-counters (:meth:`CampaignScheduler.counters`), including
+fan out into forked shard processes inside its token allowance.
+Scheduler behaviour is observable through the ``service.*`` counters
+(:meth:`CampaignScheduler.counters`), including
 ``service.workers_peak`` — the high-water token usage, which a test can
 assert never exceeded the budget.
 """

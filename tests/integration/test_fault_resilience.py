@@ -91,15 +91,11 @@ class TestGracefulDegradation:
 class TestFaultDeterminism:
     def test_parallel_byte_identical_under_faults(self, mild_serial, tmp_path):
         _, serial_digests = mild_serial
-        dataset = run_campaign(
-            TINY_MILD, Seed(SEED_ROOT), parallel=True, workers=4, backend="thread"
-        )
+        dataset = run_campaign(TINY_MILD, Seed(SEED_ROOT), parallel=True, workers=4)
         assert _export_digests(dataset, tmp_path) == serial_digests
 
     def test_parallel_merge_keeps_fault_counters(self):
-        dataset = run_campaign(
-            TINY_MILD, Seed(SEED_ROOT), parallel=True, workers=2, backend="thread"
-        )
+        dataset = run_campaign(TINY_MILD, Seed(SEED_ROOT), parallel=True, workers=2)
         counters = _counters(dataset)
         assert sum(
             v for k, v in counters.items() if k.startswith("net.faults.")

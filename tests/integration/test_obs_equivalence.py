@@ -35,9 +35,7 @@ def serial_obs():
 
 @pytest.fixture(scope="module")
 def parallel_obs():
-    dataset = run_campaign(
-        TINY, Seed(SEED_ROOT), parallel=True, workers=4, backend="thread"
-    )
+    dataset = run_campaign(TINY, Seed(SEED_ROOT), parallel=True, workers=4)
     return dataset.obs
 
 

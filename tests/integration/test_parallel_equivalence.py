@@ -3,7 +3,7 @@
 The parallel runner's whole claim is that sharding the campaign by
 persona changes *nothing observable*: for the same seed and config, the
 exported dataset — every CSV and the JSON summary — is byte-identical
-to the serial run's, for any worker count and either backend.
+to the serial run's, for any worker count.
 """
 
 import hashlib
@@ -45,35 +45,18 @@ def serial_digests(tmp_path_factory):
 
 
 class TestParallelEquivalence:
-    @pytest.mark.parametrize(
-        ("workers", "backend"),
-        [
-            (1, "thread"),
-            (2, "thread"),
-            (4, "thread"),
-            (2, "process"),
-            (4, "process"),
-        ],
-    )
-    def test_export_bit_identical_to_serial(
-        self, serial_digests, tmp_path, workers, backend
-    ):
-        dataset = run_campaign(
-            TINY, Seed(SEED_ROOT), parallel=True, workers=workers, backend=backend
-        )
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_export_bit_identical_to_serial(self, serial_digests, tmp_path, workers):
+        dataset = run_campaign(TINY, Seed(SEED_ROOT), parallel=True, workers=workers)
         assert _export_digests(dataset, tmp_path) == serial_digests
 
     def test_different_seed_changes_exports(self, serial_digests, tmp_path):
-        dataset = run_campaign(
-            TINY, Seed(SEED_ROOT + 1), parallel=True, workers=2, backend="thread"
-        )
+        dataset = run_campaign(TINY, Seed(SEED_ROOT + 1), parallel=True, workers=2)
         digests = _export_digests(dataset, tmp_path)
         assert digests != serial_digests
 
     def test_merged_dataset_shape(self):
-        dataset = run_campaign(
-            TINY, Seed(SEED_ROOT), parallel=True, workers=3, backend="thread"
-        )
+        dataset = run_campaign(TINY, Seed(SEED_ROOT), parallel=True, workers=3)
         assert list(dataset.personas) == [p.name for p in all_personas()]
         assert dataset.world is not None
         assert len(dataset.prebid_sites) == TINY.prebid_discovery_target

@@ -55,9 +55,7 @@ class TestFourModeEquivalence:
     def test_serial_and_parallel_exports_identical(self, tmp_path, fault_profile):
         config = _config(fault_profile)
         serial = run_campaign(config, Seed(SEED_ROOT))
-        parallel = run_campaign(
-            config, Seed(SEED_ROOT), parallel=True, workers=4, backend="thread"
-        )
+        parallel = run_campaign(config, Seed(SEED_ROOT), parallel=True, workers=4)
         serial_digests = _export_digests(serial, tmp_path / "serial")
         parallel_digests = _export_digests(parallel, tmp_path / "parallel")
         mismatched = [
@@ -130,32 +128,6 @@ class TestFourModeEquivalence:
             "third party",
         }
         assert analysis.traffic_matrix == reference
-
-    def test_analysis_identical_for_any_worker_count(self):
-        """analyze_traffic's fan-out is pure parallelism: same result."""
-        dataset = run_campaign(_config("none"), Seed(SEED_ROOT), obs=False)
-        world = dataset.world
-        vendor_by_skill = {s.skill_id: s.vendor for s in world.catalog}
-
-        def run(workers):
-            analysis = analyze_traffic(
-                dataset,
-                world.org_resolver(),
-                world.filter_list,
-                vendor_by_skill,
-                workers=workers,
-            )
-            return (
-                analysis.traffic_matrix,
-                analysis.domain_org,
-                analysis.domain_class,
-                analysis.skills_by_domain,
-                [(t.skill_id, t.persona, t.domains) for t in analysis.per_skill],
-            )
-
-        serial = run(None)
-        assert run(2) == serial
-        assert run(4) == serial
 
 
 def _reference_traffic_matrix(dataset, vendor_by_skill):

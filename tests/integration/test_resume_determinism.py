@@ -3,10 +3,10 @@
 The tentpole invariant of the crash-safe execution layer: a campaign
 interrupted after ≥1 checkpointed shard and then resumed must produce
 exports **byte-identical** to an uninterrupted run of the same seed and
-config — under healthy and mild-faulted networks, on both worker
-backends.  Shard artifacts are seed-deterministic, so a resumed shard
-loaded from the journal is indistinguishable from a recomputed one; the
-tests here pin that end to end.
+config — under healthy and mild-faulted networks.  Shard artifacts are
+seed-deterministic, so a resumed shard loaded from the journal is
+indistinguishable from a recomputed one; the tests here pin that end to
+end.
 
 Two interruption styles are exercised:
 
@@ -75,10 +75,9 @@ def serial_digests(tmp_path_factory):
 
 
 class TestKillAndResume:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
     @pytest.mark.parametrize("profile", ["none", "mild"])
     def test_interrupted_then_resumed_matches_serial(
-        self, tmp_path, serial_digests, backend, profile
+        self, tmp_path, serial_digests, profile
     ):
         """Crash one shard out of the run, resume, compare every byte."""
         config = _config(profile)
@@ -94,7 +93,6 @@ class TestKillAndResume:
             Seed(SEED_ROOT),
             parallel=True,
             workers=WORKERS,
-            backend=backend,
             checkpoint_dir=ckpt,
             worker_faults=faults,
             on_shard_failure="degrade",
@@ -107,7 +105,6 @@ class TestKillAndResume:
             Seed(SEED_ROOT),
             parallel=True,
             workers=WORKERS,
-            backend=backend,
             checkpoint_dir=ckpt,
             resume=True,
         )
@@ -130,7 +127,7 @@ class TestKillAndResume:
         )
 
     def test_sigkill_mid_run_then_resume(self, tmp_path, serial_digests):
-        """A real -9 on a process-backend campaign, resumed to gold bytes."""
+        """A real -9 on a parallel campaign, resumed to gold bytes."""
         ckpt = tmp_path / "journal"
         script = (
             "from repro.core.campaign import run_campaign\n"
@@ -139,7 +136,7 @@ class TestKillAndResume:
             f" post_iterations=1, crawl_sites=2, prebid_discovery_target=5,"
             f" audio_hours=0.5)\n"
             f"run_campaign(config, {SEED_ROOT}, parallel=True,"
-            f" workers={WORKERS}, backend='process',"
+            f" workers={WORKERS},"
             f" checkpoint_dir={str(ckpt)!r})\n"
         )
         env = dict(os.environ)
@@ -168,7 +165,6 @@ class TestKillAndResume:
             Seed(SEED_ROOT),
             parallel=True,
             workers=WORKERS,
-            backend="process",
             checkpoint_dir=ckpt,
             resume=True,
         )
@@ -190,7 +186,6 @@ class TestWatchdogIntegration:
             Seed(SEED_ROOT),
             parallel=True,
             workers=WORKERS,
-            backend="thread",
             worker_faults=faults,
             shard_timeout=20.0,
         )
@@ -210,7 +205,6 @@ class TestResumeValidation:
             Seed(SEED_ROOT),
             parallel=True,
             workers=WORKERS,
-            backend="thread",
             checkpoint_dir=ckpt,
         )
 
@@ -222,7 +216,6 @@ class TestResumeValidation:
                 Seed(SEED_ROOT + 1),
                 parallel=True,
                 workers=WORKERS,
-                backend="thread",
                 checkpoint_dir=tmp_path / "journal",
                 resume=True,
             )
@@ -235,7 +228,6 @@ class TestResumeValidation:
                 Seed(SEED_ROOT),
                 parallel=True,
                 workers=WORKERS,
-                backend="thread",
                 checkpoint_dir=tmp_path / "journal",
                 resume=True,
             )
@@ -248,7 +240,6 @@ class TestResumeValidation:
                 Seed(SEED_ROOT),
                 parallel=True,
                 workers=WORKERS - 1,
-                backend="thread",
                 checkpoint_dir=tmp_path / "journal",
                 resume=True,
             )

@@ -67,19 +67,6 @@ class TestByteEquivalence:
         export_segment_store(store, tmp_path / "out")
         assert _digests(tmp_path / "out") == reference
 
-    def test_parallel_thread_segment_campaign(self, memory_reference, tmp_path):
-        fault_profile, reference = memory_reference
-        store = run_segment_campaign(
-            _config(fault_profile),
-            Seed(SEED_ROOT),
-            store_dir=tmp_path / "s",
-            parallel=True,
-            workers=4,
-            backend="thread",
-        )
-        export_segment_store(store, tmp_path / "out")
-        assert _digests(tmp_path / "out") == reference
-
     def test_parallel_process_segment_campaign(self, memory_reference, tmp_path):
         fault_profile, reference = memory_reference
         store = run_segment_campaign(
@@ -88,7 +75,6 @@ class TestByteEquivalence:
             store_dir=tmp_path / "s",
             parallel=True,
             workers=2,
-            backend="process",
             batch_personas=3,
         )
         export_segment_store(store, tmp_path / "out")

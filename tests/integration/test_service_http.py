@@ -144,6 +144,17 @@ class TestHttpLifecycle:
                 assert excinfo.value.code == 400
                 detail = json.loads(excinfo.value.read().decode("utf-8"))
                 assert "error" in detail
+            # The removed thread backend fails with the API's message,
+            # which names the replacement.
+            body = {"schema": 1, "config": {}, "backend": "thread", "parallel": True}
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _post_json(url, body)
+            assert excinfo.value.code == 400
+            detail = json.loads(excinfo.value.read().decode("utf-8"))
+            with pytest.raises(ValueError) as expected:
+                CampaignSpec.from_dict(body)
+            assert str(expected.value) in detail["error"]
+            assert "parallel=False" in detail["error"]
             # nothing half-created
             assert _get_json(url)["jobs"] == []
 
@@ -203,9 +214,7 @@ class TestKillRestartResume:
         root re-queues the job, resumes from its checkpoints, and the
         final exports match an uninterrupted in-process run byte for
         byte."""
-        spec = CampaignSpec(
-            config=TINY, seed=2026, parallel=True, workers=4, backend="process"
-        )
+        spec = CampaignSpec(config=TINY, seed=2026, parallel=True, workers=4)
         execute_spec(spec, tmp_path / "direct")
         gold = _digest_dir(tmp_path / "direct")
 

@@ -70,7 +70,7 @@ class TestByteIdenticalUnderFaults:
         assert sum(manifest["storage"]["counters"].values()) > 0
 
     @pytest.mark.parametrize("profile", ["mild", "harsh"])
-    def test_parallel_thread_segment_campaign(self, reference, tmp_path, profile):
+    def test_parallel_segment_campaign(self, reference, tmp_path, profile):
         with storage_faults(profile, seed=SEED_ROOT):
             store = run_segment_campaign(
                 CONFIG,
@@ -78,7 +78,6 @@ class TestByteIdenticalUnderFaults:
                 store_dir=tmp_path / "s",
                 parallel=True,
                 workers=4,
-                backend="thread",
             )
             export_segment_store(store, tmp_path / "out")
         assert _digests(tmp_path / "out") == reference

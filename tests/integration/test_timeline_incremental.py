@@ -96,7 +96,7 @@ class TestByteEquivalence:
 
     def test_incremental_parallel_matches_cold(self, cold_reference, tmp_path):
         fault_profile, reference = cold_reference
-        spec = _spec(_base(fault_profile, parallel=True, workers=4, backend="thread"))
+        spec = _spec(_base(fault_profile, parallel=True, workers=4))
         result = run_timeline(spec, tmp_path)
         assert (_epoch_digests(tmp_path, 0), _epoch_digests(tmp_path, 1)) == reference
         assert result.epochs[1].personas_recomputed == 3
@@ -207,9 +207,7 @@ class TestShardInvariance:
     @given(seed=st.integers(min_value=1, max_value=50))
     def test_serial_and_sharded_dirty_sets_agree(self, tmp_path_factory, seed):
         base_serial = CampaignSpec(config=_config(), seed=seed, store="segments")
-        base_sharded = base_serial.replace(
-            parallel=True, workers=4, backend="thread"
-        )
+        base_sharded = base_serial.replace(parallel=True, workers=4)
         spec_serial = TimelineSpec.generate(base_serial, n_epochs=2)
         spec_sharded = TimelineSpec.generate(base_sharded, n_epochs=2)
         # Same seed -> same generated mutations; only execution differs.

@@ -43,12 +43,12 @@ class TestSerialPath:
 
 
 class TestParallelPath:
-    def test_thread_backend_merges_obs(self):
-        dataset = run_campaign(TINY, 2002, parallel=True, workers=2, backend="thread")
+    def test_parallel_run_merges_obs(self):
+        dataset = run_campaign(TINY, 2002, parallel=True, workers=2)
         assert dataset.obs is not None
         manifest = dataset.obs.manifest
         assert manifest.entrypoint == "parallel"
-        assert manifest.backend == "thread"
+        assert manifest.backend == "process"
         assert manifest.workers == len(manifest.shards) == 2
         assert manifest.persona_count == len(dataset.personas)
 

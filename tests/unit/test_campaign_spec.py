@@ -33,7 +33,7 @@ TINY = ExperimentConfig(
 class TestRoundTrip:
     def test_json_round_trip_is_exact(self):
         spec = CampaignSpec(
-            config=TINY, seed=7, parallel=True, workers=3, backend="thread",
+            config=TINY, seed=7, parallel=True, workers=3,
             on_shard_failure="degrade", shard_timeout=12.5,
             checkpoint_dir="/tmp/ckpt", resume=True,
         )
@@ -104,6 +104,40 @@ class TestValidation:
     def test_rejects_bad_backend(self):
         with pytest.raises(ValueError, match="backend"):
             CampaignSpec(config=TINY, parallel=True, backend="gpu")
+
+    def test_removed_thread_backend_names_its_replacement(self):
+        """Every surface that builds a spec fails the same way."""
+        body = CampaignSpec(config=TINY, parallel=True).to_dict()
+        body["backend"] = "thread"
+        attempts = [
+            lambda: CampaignSpec(config=TINY, parallel=True, backend=body["backend"]),
+            lambda: CampaignSpec.from_dict(body),
+            lambda: CampaignSpec.from_json(json.dumps(body)),
+        ]
+        messages = set()
+        for attempt in attempts:
+            with pytest.raises(ValueError) as excinfo:
+                attempt()
+            messages.add(str(excinfo.value))
+        (message,) = messages
+        assert "'thread'" in message
+        assert '"process"' in message and "parallel=False" in message
+
+    def test_golden_specs_round_trip_byte_identically(self):
+        """The committed specs carry ``"backend": "process"`` and must
+        keep loading and re-serializing to the same bytes."""
+        from repro.core.timeline import TimelineSpec
+
+        specs_dir = Path(__file__).resolve().parents[1] / "golden" / "specs"
+        loaders = {
+            "interact-faulted.json": CampaignSpec,
+            "timeline-2epoch.json": TimelineSpec,
+        }
+        for name, loader in loaders.items():
+            text = (specs_dir / name).read_text(encoding="utf-8")
+            assert '"backend": "process"' in text
+            spec = loader.from_json(text)
+            assert spec.to_json(indent=2) + "\n" == text
 
     def test_rejects_negative_workers(self):
         with pytest.raises(ValueError, match="workers"):

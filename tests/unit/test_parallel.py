@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core.campaign import run_campaign
+from repro.core.campaign import CampaignSpec, run_campaign
 from repro.core.parallel import (
+    BACKENDS,
     ShardResult,
     merge_shard_results,
     shard_personas,
@@ -130,8 +131,14 @@ class TestMergeCompleteness:
 
 class TestRunParallelValidation:
     def test_bad_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            run_campaign(seed=1, parallel=True, backend="greenlet")
+        assert BACKENDS == ("process",)
+        spec = CampaignSpec.from_dict({"backend": "process", "parallel": True})
+        for backend in ["greenlet", "thread"]:
+            with pytest.raises(ValueError, match="parallel=False"):
+                spec.replace(backend=backend)
+        # The kwargs form has no backend argument left, not even "process".
+        with pytest.raises(TypeError, match="backend"):
+            run_campaign(seed=1, parallel=True, backend="process")
 
     def test_bad_worker_count_rejected(self):
         with pytest.raises(ValueError, match="workers"):

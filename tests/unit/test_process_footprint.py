@@ -2,9 +2,9 @@
 
 ``scipy.stats`` costs hundreds of modules and tens of thousands of
 GC-tracked objects; no ``repro`` code path needs it, and only the
-significance tests need ``scipy.special``.  Process-backend shard
-workers ``gc.freeze()`` the heap they inherit so their collections walk
-only what the shard allocates; the parent and thread workers never do.
+significance tests need ``scipy.special``.  Forked shard workers
+``gc.freeze()`` the heap they inherit so their collections walk only
+what the shard allocates; the parent never does.
 """
 
 import gc
@@ -12,8 +12,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-
-import pytest
 
 from repro.core.parallel import SupervisorPolicy, _ShardSupervisor
 from repro.util.rng import Seed
@@ -53,16 +51,14 @@ def test_significance_tests_leave_scipy_stats_unloaded():
 
 
 def _freeze_count_shard(shard_index, seed, config, persona_names, collect_obs):
-    """Module-level so the process backend can pickle it."""
     return gc.get_freeze_count()
 
 
-def _run_supervisor(backend):
+def _run_supervisor():
     supervisor = _ShardSupervisor(
         PLAN,
         Seed(2026),
         None,  # config is opaque to the supervisor; the stub ignores it
-        backend,
         False,
         SupervisorPolicy(),
         shard_fn=_freeze_count_shard,
@@ -73,15 +69,12 @@ def _run_supervisor(backend):
 
 def test_process_workers_freeze_the_inherited_heap():
     parent = gc.get_freeze_count()
-    results = _run_supervisor("process")
+    results = _run_supervisor()
     assert sorted(results) == [0, 1]
     assert all(count > parent for count in results.values()), (parent, results)
 
 
-@pytest.mark.parametrize("backend", ["process", "thread"])
-def test_parent_heap_is_never_frozen(backend):
+def test_parent_heap_is_never_frozen():
     before = gc.get_freeze_count()
-    results = _run_supervisor(backend)
+    _run_supervisor()
     assert gc.get_freeze_count() == before
-    if backend == "thread":
-        assert set(results.values()) == {before}

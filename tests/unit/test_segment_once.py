@@ -10,6 +10,7 @@
 
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -86,20 +87,44 @@ class TestOneCatalogPerCampaign:
         assert len(spy.world_catalogs) == len(store.roster)
         assert all(c is spy.built[0] for c in spy.world_catalogs)
 
-    def test_thread_campaign_builds_once_and_rerun_never(
+    def test_parallel_campaign_builds_once_and_rerun_never(
         self, monkeypatch, tmp_path
     ):
-        spy = CatalogSpy(monkeypatch)
-        store = run(tmp_path, parallel=True, workers=2, backend="thread")
-        assert len(spy.built) == 1
-        assert len(spy.world_catalogs) == len(store.roster)
-        assert all(c is spy.built[0] for c in spy.world_catalogs)
+        """The parent builds the one catalog before forking; workers
+        inherit it and build only worlds.  Calls are logged to a file,
+        which every forked worker appends to as well."""
+        log = tmp_path / "calls.log"
+        original = catalog_mod.build_catalog
+        original_world = world_mod.build_world
 
-        spy.built.clear()
-        spy.world_catalogs.clear()
-        store = run(tmp_path, parallel=True, workers=2, backend="thread")
-        assert spy.built == []
-        assert spy.world_catalogs == []
+        def record(event):
+            with open(log, "a") as handle:
+                handle.write(f"{event} {os.getpid()}\n")
+
+        def build_catalog(seed):
+            record("catalog")
+            return original(seed)
+
+        def build_world(seed, catalog=None, *args, **kwargs):
+            record("world" if catalog is not None else "world-without-catalog")
+            return original_world(seed, catalog, *args, **kwargs)
+
+        monkeypatch.setattr(catalog_mod, "build_catalog", build_catalog)
+        monkeypatch.setattr(world_mod, "build_catalog", build_catalog)
+        monkeypatch.setattr(world_mod, "build_world", build_world)
+
+        store = run(tmp_path / "store", parallel=True, workers=2)
+        calls = [line.split() for line in log.read_text().splitlines()]
+        parent = str(os.getpid())
+        assert [pid for event, pid in calls if event == "catalog"] == [parent]
+        worlds = [pid for event, pid in calls if event.startswith("world")]
+        assert worlds.count(parent) == 0  # every world is built in a worker
+        assert [event for event, _ in calls].count("world") == len(store.roster)
+        assert len(worlds) == len(store.roster)
+
+        log.unlink()
+        store = run(tmp_path / "store", parallel=True, workers=2)
+        assert not log.exists()
         assert store.status() == "complete"
 
     def test_churned_epoch_leaves_base_catalog_untouched(

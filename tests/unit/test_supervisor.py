@@ -28,7 +28,9 @@ from repro.core.parallel import (
     SupervisorPolicy,
     SupervisorReport,
     WorkerFaultPlan,
+    _POISON_BYTES,
     _ShardSupervisor,
+    _WorkerUnit,
 )
 from repro.util.rng import Seed
 
@@ -37,7 +39,6 @@ SRC_DIR = Path(__file__).resolve().parents[2] / "src"
 
 
 def _stub_shard(shard_index, seed, config, persona_names, collect_obs):
-    """Module-level so the process backend can pickle it."""
     return f"result-{shard_index}"
 
 
@@ -54,16 +55,13 @@ def _big_stub_shard(shard_index, seed, config, persona_names, collect_obs):
     return bytes([shard_index]) * BIG_RESULT_BYTES
 
 
-def _supervisor(
-    tmp_path, policy, backend="thread", shard_fn=_stub_shard, journaled=True
-):
+def _supervisor(tmp_path, policy, shard_fn=_stub_shard, journaled=True):
     journal = ShardJournal(tmp_path, 2026, "abc123", PLAN) if journaled else None
     return (
         _ShardSupervisor(
             PLAN,
             Seed(2026),
             None,  # config is opaque to the supervisor; the stub ignores it
-            backend,
             False,
             policy,
             shard_fn=shard_fn,
@@ -74,11 +72,8 @@ def _supervisor(
 
 
 class TestHealthyRuns:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_all_shards_complete(self, tmp_path, backend):
-        supervisor, journal = _supervisor(
-            tmp_path, SupervisorPolicy(), backend=backend
-        )
+    def test_all_shards_complete(self, tmp_path):
+        supervisor, journal = _supervisor(tmp_path, SupervisorPolicy())
         results, report = supervisor.run()
         assert results == {0: "result-0", 1: "result-1", 2: "result-2"}
         assert report.attempts == {0: ["ok"], 1: ["ok"], 2: ["ok"]}
@@ -86,14 +81,12 @@ class TestHealthyRuns:
         assert report.failed_shards == ()
         assert journal.read_manifest()["status"] == "complete"
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_results_larger_than_a_pipe_buffer_arrive(self, tmp_path, backend):
+    def test_results_larger_than_a_pipe_buffer_arrive(self, tmp_path):
         """The supervisor reads while the worker writes: an 8 MiB result
         per shard neither deadlocks nor arrives truncated."""
         supervisor, _ = _supervisor(
             tmp_path,
             SupervisorPolicy(shard_timeout=60.0),
-            backend=backend,
             shard_fn=_big_stub_shard,
             journaled=False,
         )
@@ -130,24 +123,29 @@ class TestHealthyRuns:
 
 class TestCrashRecovery:
     def test_injected_crash_is_retried(self, tmp_path):
-        self._crash_then_ok(tmp_path, "thread")
-
-    def test_injected_process_crash_is_retried(self, tmp_path):
-        """The process dies outright: EOF on its pipe is the crash."""
-        self._crash_then_ok(tmp_path, "process")
-
-    def _crash_then_ok(self, tmp_path, backend):
-        policy = SupervisorPolicy(
-            worker_faults=WorkerFaultPlan.targeted({(1, 1): "crash"})
-        )
-        supervisor, journal = _supervisor(tmp_path, policy, backend=backend)
+        supervisor, journal = self._crash_then_ok(tmp_path)
         results, report = supervisor.run()
-        assert results[1] == "result-1"
+        assert results == {0: "result-0", 1: "result-1", 2: "result-2"}
         assert report.attempts[1] == ["crash", "ok"]
         assert report.retries == 1
         assert journal.read_manifest()["status"] == "complete"
+        assert journal.load_shard(1) == "result-1"  # the retry's entry
+
+    def test_injected_process_crash_is_retried(self, tmp_path):
+        """The process dies outright: EOF on its pipe is the crash."""
+        supervisor, journal = self._crash_then_ok(tmp_path)
+        results, report = supervisor.run()
+        assert results[1] == "result-1"
+        assert report.attempts[1] == ["crash", "ok"]
         # The crash closed the pipe unsent; the supervisor recorded it.
-        assert "without sending a result" in journal.read_error(1)
+        error = journal.read_error(1)
+        assert "without sending a result (worker exit code 3)" in error
+
+    def _crash_then_ok(self, tmp_path):
+        policy = SupervisorPolicy(
+            worker_faults=WorkerFaultPlan.targeted({(1, 1): "crash"})
+        )
+        return _supervisor(tmp_path, policy)
 
     def test_retry_budget_exhaustion_raises(self, tmp_path):
         schedule = {(1, attempt): "crash" for attempt in (1, 2)}
@@ -172,12 +170,10 @@ class TestCrashRecovery:
             supervisor.run()
         assert excinfo.value.outcomes == ("crash",)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_real_worker_exception_is_a_crash(self, tmp_path, backend):
+    def test_real_worker_exception_is_a_crash(self, tmp_path):
         supervisor, journal = _supervisor(
             tmp_path,
             SupervisorPolicy(max_shard_retries=0),
-            backend=backend,
             shard_fn=_exploding_stub,
         )
         with pytest.raises(ShardFailure, match="exploded"):
@@ -212,15 +208,14 @@ class TestDegrade:
 
 
 class TestWatchdog:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_hung_worker_is_reaped_and_retried(self, tmp_path, backend):
+    def test_hung_worker_is_reaped_and_retried(self, tmp_path):
         policy = SupervisorPolicy(
             shard_timeout=1.5,
             worker_faults=WorkerFaultPlan.targeted(
                 {(1, 1): "hang"}, hang_seconds=3600
             ),
         )
-        supervisor, _ = _supervisor(tmp_path, policy, backend=backend)
+        supervisor, _ = _supervisor(tmp_path, policy)
         started = time.monotonic()
         results, report = supervisor.run()
         elapsed = time.monotonic() - started
@@ -228,6 +223,42 @@ class TestWatchdog:
         assert report.attempts[1] == ["hang", "ok"]
         # Reaped by the wall-clock watchdog, not by the hang expiring.
         assert elapsed < 60
+
+    def test_reaped_worker_dies_despite_an_inherited_sigterm_handler(
+        self, tmp_path, monkeypatch
+    ):
+        """``repro serve`` traps SIGTERM to drain; a worker forked under
+        that handler inherits it, so the watchdog must not rely on
+        SIGTERM to stop a hung attempt."""
+        reaped = []
+        reap = _WorkerUnit.reap
+
+        def recording_reap(unit):
+            reap(unit)
+            reaped.append(unit.process)
+
+        monkeypatch.setattr(_WorkerUnit, "reap", recording_reap)
+        previous = signal.signal(signal.SIGTERM, lambda *_: None)
+        try:
+            policy = SupervisorPolicy(
+                shard_timeout=1.0,
+                worker_faults=WorkerFaultPlan.targeted(
+                    {(1, 1): "hang"}, hang_seconds=3600
+                ),
+            )
+            supervisor, _ = _supervisor(tmp_path, policy, journaled=False)
+            started = time.monotonic()
+            results, report = supervisor.run()
+            elapsed = time.monotonic() - started
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert report.attempts[1] == ["hang", "ok"]
+        assert results[1] == "result-1"
+        (process,) = reaped
+        assert not process.is_alive()
+        assert process.exitcode == -signal.SIGKILL
+        # Well under the 5 s a reap waits for a worker that will not die.
+        assert elapsed < 4.0
 
     def test_watchdog_leaves_slow_but_live_workers_alone(self, tmp_path):
         policy = SupervisorPolicy(shard_timeout=30.0)
@@ -250,7 +281,7 @@ def slow_big(shard_index, seed, config, persona_names, collect_obs):
     return b"x" * (1 << 20)  # far more than a pipe buffer holds
 
 _ShardSupervisor(
-    [["a"], ["b"], ["c"]], Seed(1), None, "process", False,
+    [["a"], ["b"], ["c"]], Seed(1), None, False,
     SupervisorPolicy(), shard_fn=slow_big,
 ).run()
 """
@@ -296,16 +327,7 @@ class TestOrphanedWorkers:
 
 class TestPoison:
     def test_poisoned_result_is_quarantined_and_retried(self, tmp_path):
-        self._poison_then_ok(tmp_path, "thread")
-
-    def test_poisoned_process_result_is_quarantined_and_retried(self, tmp_path):
-        self._poison_then_ok(tmp_path, "process")
-
-    def _poison_then_ok(self, tmp_path, backend):
-        policy = SupervisorPolicy(
-            worker_faults=WorkerFaultPlan.targeted({(0, 1): "poison"})
-        )
-        supervisor, journal = _supervisor(tmp_path, policy, backend=backend)
+        supervisor, journal = self._poison_then_ok(tmp_path)
         results, report = supervisor.run()
         assert results[0] == "result-0"
         assert report.attempts[0] == ["poison", "ok"]
@@ -316,6 +338,25 @@ class TestPoison:
         with pytest.raises(Exception):
             pickle.loads(quarantined.read_bytes())
         assert journal.load_shard(0) == "result-0"  # the retry's entry
+
+    def test_poisoned_process_result_is_quarantined_and_retried(self, tmp_path):
+        """The quarantine holds exactly the bytes that crossed the pipe."""
+        supervisor, journal = self._poison_then_ok(tmp_path)
+        results, report = supervisor.run()
+        assert results[0] == "result-0"
+        assert report.attempts[0] == ["poison", "ok"]
+        assert report.outcome_count("poison") == 1
+        quarantined = journal.shard_path(0).with_name(
+            journal.shard_path(0).name + ".corrupt"
+        )
+        assert quarantined.read_bytes() == _POISON_BYTES
+        assert "worker sent an unreadable result" in journal.read_error(0)
+
+    def _poison_then_ok(self, tmp_path):
+        policy = SupervisorPolicy(
+            worker_faults=WorkerFaultPlan.targeted({(0, 1): "poison"})
+        )
+        return _supervisor(tmp_path, policy)
 
 
 class TestWorkerFaultPlan:
@@ -440,9 +481,7 @@ class TestNoCheckpointDir:
     """Without ``checkpoint_dir`` the supervisor keeps no journal at all."""
 
     def test_memory_store_parallel_run(self, no_journal):
-        dataset = run_campaign(
-            TINY, Seed(2026), parallel=True, workers=2, backend="thread"
-        )
+        dataset = run_campaign(TINY, Seed(2026), parallel=True, workers=2)
         assert dataset.missing_personas == ()
         assert not list(no_journal.rglob("journal.json"))
 
@@ -453,7 +492,6 @@ class TestNoCheckpointDir:
             store_dir=no_journal / "store",
             parallel=True,
             workers=2,
-            backend="process",
         )
         assert store.status() == "complete"
         assert not list(no_journal.rglob("journal.json"))
