@@ -41,17 +41,47 @@ covered by the semantic-versioning promise (``__version__``, which
 ``pyproject.toml`` derives its package version from).
 """
 
-from repro.core.campaign import CampaignSpec, execute_spec, run_campaign
-from repro.core.experiment import ExperimentConfig
-from repro.util.rng import Seed
+import importlib
+import sys
+from typing import Callable, Dict, List, Tuple
 
 __version__ = "1.8.0"
 
-__all__ = [
-    "CampaignSpec",
-    "ExperimentConfig",
-    "Seed",
-    "__version__",
-    "execute_spec",
-    "run_campaign",
-]
+
+def _lazy_exports(
+    package: str, table: Dict[str, str]
+) -> Tuple[Callable[[str], object], Callable[[], List[str]], List[str]]:
+    """PEP 562 re-exports for ``package``: ``(__getattr__, __dir__, __all__)``.
+
+    ``table`` maps each public name, in ``__all__`` order, to the
+    submodule of ``package`` that defines it.  A name's submodule is
+    imported on first access and the value cached in the package's
+    globals, so later lookups never reach ``__getattr__`` and a process
+    imports only the submodules its run touches.
+    """
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name: str) -> object:
+        if name not in table:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        module = importlib.import_module(f"{package}.{table[name]}")
+        namespace[name] = value = getattr(module, name)
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted(set(namespace) | set(table))
+
+    return __getattr__, __dir__, list(table)
+
+
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "CampaignSpec": "core.campaign",
+        "ExperimentConfig": "core.experiment",
+        "Seed": "util.rng",
+        "execute_spec": "core.campaign",
+        "run_campaign": "core.campaign",
+    },
+)
+__all__ = sorted([*__all__, "__version__"])

@@ -1,39 +1,27 @@
 """The simulated advertising ecosystem: header bidding, DSPs, cookie
 syncing, display creatives, and audio-ad insertion."""
 
-from repro.adtech.ads import AdCreative, AdServer
-from repro.adtech.audio import AudioAdServer, AudioSegment, StreamSession
-from repro.adtech.bidder import AuctionContext, Bidder, WEB_SIGNAL_FRACTION
-from repro.adtech.exchange import (
-    BIDDERS_PER_SLOT,
-    SLOT_FAILURE_RATE,
-    AdTechWorld,
-    PersonaState,
-)
-from repro.adtech.prebid import (
-    AdUnit,
-    BidResponse,
-    PrebidSession,
-    register_publisher,
-    slot_id,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "AdCreative",
-    "AdServer",
-    "AdTechWorld",
-    "AdUnit",
-    "AuctionContext",
-    "AudioAdServer",
-    "AudioSegment",
-    "BIDDERS_PER_SLOT",
-    "Bidder",
-    "BidResponse",
-    "PersonaState",
-    "PrebidSession",
-    "SLOT_FAILURE_RATE",
-    "StreamSession",
-    "WEB_SIGNAL_FRACTION",
-    "register_publisher",
-    "slot_id",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "AdCreative": "ads",
+        "AdServer": "ads",
+        "AdTechWorld": "exchange",
+        "AdUnit": "prebid",
+        "AuctionContext": "bidder",
+        "AudioAdServer": "audio",
+        "AudioSegment": "audio",
+        "BIDDERS_PER_SLOT": "exchange",
+        "Bidder": "bidder",
+        "BidResponse": "prebid",
+        "PersonaState": "exchange",
+        "PrebidSession": "prebid",
+        "SLOT_FAILURE_RATE": "exchange",
+        "StreamSession": "audio",
+        "WEB_SIGNAL_FRACTION": "bidder",
+        "register_publisher": "prebid",
+        "slot_id": "prebid",
+    },
+)

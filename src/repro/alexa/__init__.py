@@ -6,50 +6,39 @@ pre-encryption plaintext log; the cloud mediates every skill interaction
 and feeds the interest profiler behind Amazon's ad targeting.
 """
 
-from repro.alexa.account import AmazonAccount
-from repro.alexa.certification import (
-    CertificationChecker,
-    CertificationResult,
-    PolicyViolation,
-    audit_certified_skills,
-)
-from repro.alexa.cloud import VOICE_ENDPOINT, AccountState, AlexaCloud, InteractionRecord
-from repro.alexa.device import AVSEcho, EchoDevice, PlaintextRecord
-from repro.alexa.dsar import AdvertisingInterestsFile, DataExport, DataRequestPortal
-from repro.alexa.marketplace import InstallReceipt, Marketplace, SkillListing
-from repro.alexa.profiler import InterestProfile, InterestProfiler
-from repro.alexa.skill_backend import Directive, SkillBackend, SkillResult
-from repro.alexa.voice import WAKE_WORDS, Transcription, VoiceFrontend
-from repro.alexa.voice_traits import SpeakerProfile, TraitInference, traits_exposed
+from repro import _lazy_exports
 
-__all__ = [
-    "AVSEcho",
-    "CertificationChecker",
-    "CertificationResult",
-    "PolicyViolation",
-    "audit_certified_skills",
-    "AccountState",
-    "AdvertisingInterestsFile",
-    "AlexaCloud",
-    "AmazonAccount",
-    "DataExport",
-    "DataRequestPortal",
-    "Directive",
-    "EchoDevice",
-    "InstallReceipt",
-    "InteractionRecord",
-    "InterestProfile",
-    "InterestProfiler",
-    "Marketplace",
-    "PlaintextRecord",
-    "SkillBackend",
-    "SkillListing",
-    "SkillResult",
-    "SpeakerProfile",
-    "TraitInference",
-    "Transcription",
-    "traits_exposed",
-    "VOICE_ENDPOINT",
-    "VoiceFrontend",
-    "WAKE_WORDS",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "AVSEcho": "device",
+        "CertificationChecker": "certification",
+        "CertificationResult": "certification",
+        "PolicyViolation": "certification",
+        "audit_certified_skills": "certification",
+        "AccountState": "cloud",
+        "AdvertisingInterestsFile": "dsar",
+        "AlexaCloud": "cloud",
+        "AmazonAccount": "account",
+        "DataExport": "dsar",
+        "DataRequestPortal": "dsar",
+        "Directive": "skill_backend",
+        "EchoDevice": "device",
+        "InstallReceipt": "marketplace",
+        "InteractionRecord": "cloud",
+        "InterestProfile": "profiler",
+        "InterestProfiler": "profiler",
+        "Marketplace": "marketplace",
+        "PlaintextRecord": "device",
+        "SkillBackend": "skill_backend",
+        "SkillListing": "marketplace",
+        "SkillResult": "skill_backend",
+        "SpeakerProfile": "voice_traits",
+        "TraitInference": "voice_traits",
+        "Transcription": "voice",
+        "traits_exposed": "voice_traits",
+        "VOICE_ENDPOINT": "cloud",
+        "VoiceFrontend": "voice",
+        "WAKE_WORDS": "voice",
+    },
+)

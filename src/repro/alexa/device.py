@@ -16,6 +16,7 @@ from typing import Any, Dict, List, Mapping, Optional
 
 from repro.alexa.account import AmazonAccount
 from repro.alexa.cloud import VOICE_ENDPOINT, AlexaCloud
+from repro.alexa.voice_traits import SpeakerProfile
 from repro.data.skill_catalog import SkillSpec
 from repro.netsim.endpoints import registrable_domain
 from repro.netsim.faults import DEFAULT_RETRY_POLICY, RetryPolicy
@@ -77,8 +78,6 @@ class EchoDevice:
         self._current_skill: Optional[str] = None
         # Raw audio carries the speaker's physical/emotional
         # characteristics (the patent-[69] threat); derived per speaker.
-        from repro.alexa.voice_traits import SpeakerProfile
-
         self.speaker_profile = SpeakerProfile.derive(seed, account.email)
 
     # -- capabilities differ between device types ----------------------- #

@@ -20,10 +20,12 @@ This module models both sides:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Tuple
 
-from repro.alexa.device import PlaintextRecord
 from repro.util.rng import Seed
+
+if TYPE_CHECKING:
+    from repro.alexa.device import PlaintextRecord
 
 __all__ = [
     "SpeakerProfile",

@@ -37,15 +37,13 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
+import repro
 from repro import __version__
-from repro.core.bids import bid_summary_table, significance_vs_vanilla
-from repro.core.campaign import CampaignSpec, execute_spec, run_campaign
-from repro.core.experiment import ExperimentConfig
-from repro.core.report import render_kv, render_table
-from repro.core.syncing import detect_cookie_syncing
-from repro.util.rng import Seed
+
+if TYPE_CHECKING:
+    from repro import CampaignSpec, ExperimentConfig
 
 __all__ = ["main", "build_parser"]
 
@@ -397,8 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config(small: bool) -> ExperimentConfig:
     if not small:
-        return ExperimentConfig()
-    return ExperimentConfig(
+        return repro.ExperimentConfig()
+    return repro.ExperimentConfig(
         skills_per_persona=8,
         pre_iterations=2,
         post_iterations=6,
@@ -424,7 +422,7 @@ def _run_campaign_from_args(args, config: Optional[ExperimentConfig] = None):
     """One code path from parsed flags to a campaign dataset."""
     config = _resolve_config(args, config)
     use_cache = getattr(args, "cache", False)
-    dataset = run_campaign(
+    dataset = repro.run_campaign(
         config,
         args.seed,
         parallel=args.parallel,
@@ -483,7 +481,7 @@ def _spec_from_run_args(args) -> Optional[CampaignSpec]:
                 ", ".join(incompatible),
             )
             return None
-        return CampaignSpec(
+        return repro.CampaignSpec(
             config=_resolve_config(args),
             seed=args.seed,
             parallel=args.parallel,
@@ -500,7 +498,7 @@ def _spec_from_run_args(args) -> Optional[CampaignSpec]:
         from repro.core.cache import DatasetCache
 
         cache_root = str(DatasetCache().root)
-    return CampaignSpec(
+    return repro.CampaignSpec(
         config=_resolve_config(args),
         seed=args.seed,
         parallel=args.parallel,
@@ -515,12 +513,21 @@ def _spec_from_run_args(args) -> Optional[CampaignSpec]:
     )
 
 
-def _load_spec_file(path: str) -> CampaignSpec:
-    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
-    return CampaignSpec.from_json(text)
+def _load_spec_file(path: str, spec_type):
+    """The ``spec_type`` document in ``path`` (``-``: stdin), or ``None``
+    when it cannot be read or fails validation (already logged as one
+    line, exit code 2)."""
+    try:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+        return spec_type.from_json(text)
+    except (OSError, TypeError, ValueError) as exc:
+        _LOG.warning("invalid %s %s: %s", spec_type.__name__, path, exc)
+        return None
 
 
 def _cmd_run(args) -> int:
+    from repro.core.report import render_kv
+
     if args.spec is not None:
         shaping = [
             flag
@@ -547,12 +554,12 @@ def _cmd_run(args) -> int:
                 ", ".join(shaping),
             )
             return 2
-        spec = _load_spec_file(args.spec)
+        spec = _load_spec_file(args.spec, repro.CampaignSpec)
     else:
         spec = _spec_from_run_args(args)
-        if spec is None:
-            return 2
-    counts, result = execute_spec(spec, args.out)
+    if spec is None:
+        return 2
+    counts, result = repro.execute_spec(spec, args.out)
     _LOG.info("%s", render_kv(counts, title=f"exported to {args.out}/"))
     if spec.store == "segments":
         _LOG.info("segment store: %s", result.campaign_dir)
@@ -565,13 +572,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_timeline(args) -> int:
+    from repro.core.report import render_kv
     from repro.core.timeline import TimelineSpec, run_timeline
 
     if args.timeline_command == "generate":
         config = _config(args.small)
         if args.faults != config.fault_profile:
             config = dataclasses.replace(config, fault_profile=args.faults)
-        base = CampaignSpec(
+        base = repro.CampaignSpec(
             config=config,
             seed=args.seed,
             parallel=args.parallel,
@@ -594,12 +602,9 @@ def _cmd_timeline(args) -> int:
             _LOG.info("wrote TimelineSpec (%d epochs) to %s", args.epochs, args.out)
         return 0
 
-    text = (
-        sys.stdin.read()
-        if args.spec == "-"
-        else Path(args.spec).read_text(encoding="utf-8")
-    )
-    spec = TimelineSpec.from_json(text)
+    spec = _load_spec_file(args.spec, TimelineSpec)
+    if spec is None:
+        return 2
     result = run_timeline(spec, args.out, incremental=not args.cold)
     for run in result.epochs:
         counts = dict(run.counts)
@@ -698,7 +703,9 @@ def _cmd_submit(args) -> int:
     import urllib.error
     import urllib.request
 
-    spec = _load_spec_file(args.spec)  # fail locally before going remote
+    spec = _load_spec_file(args.spec, repro.CampaignSpec)  # fail before going remote
+    if spec is None:
+        return 2
     base = args.url.rstrip("/")
     try:
         job = _http_json(base + "/campaigns", spec.to_json().encode("utf-8"))
@@ -729,6 +736,10 @@ def _cmd_submit(args) -> int:
 
 
 def _cmd_tables(args) -> int:
+    from repro.core.bids import bid_summary_table, significance_vs_vanilla
+    from repro.core.report import render_kv, render_table
+    from repro.core.syncing import detect_cookie_syncing
+
     dataset = _run_campaign_from_args(args)
     rows = [
         (r.persona, f"{r.summary.median:.3f}", f"{r.summary.mean:.3f}")
@@ -759,6 +770,8 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from repro.core.report import render_kv, render_table
+
     dataset = _run_campaign_from_args(args)
     if dataset.obs is None:
         _LOG.warning("observability was disabled; no summary available")
@@ -798,6 +811,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_defend(args) -> int:
     from repro.alexa import AlexaCloud, AmazonAccount, EchoDevice, Marketplace
+    from repro.core.report import render_kv
     from repro.data import categories as cat
     from repro.data.domains import PIHOLE_FILTER_TEXT, build_endpoint_registry
     from repro.data.skill_catalog import build_catalog
@@ -806,7 +820,7 @@ def _cmd_defend(args) -> int:
     from repro.orgmap.filterlists import FilterList
     from repro.util.clock import SimClock
 
-    seed = Seed(args.seed)
+    seed = repro.Seed(args.seed)
     router = Router(build_endpoint_registry(), SimClock())
     catalog = build_catalog(seed)
     cloud = AlexaCloud(catalog, router, router.clock, seed)
@@ -834,9 +848,10 @@ def _cmd_defend(args) -> int:
 
 def _cmd_policheck(args) -> int:
     from repro.core.compliance import analyze_compliance, policy_availability
+    from repro.core.report import render_kv, render_table
     from repro.data import datatypes as dt
 
-    config = ExperimentConfig(
+    config = repro.ExperimentConfig(
         pre_iterations=0,
         post_iterations=1,
         crawl_sites=1,
@@ -888,6 +903,9 @@ def _cmd_policheck(args) -> int:
 
 
 def _cmd_sync(args) -> int:
+    from repro.core.report import render_kv
+    from repro.core.syncing import detect_cookie_syncing
+
     dataset = _run_campaign_from_args(args)
     analysis = detect_cookie_syncing(dataset)
     _LOG.info(
@@ -908,9 +926,10 @@ def _cmd_sync(args) -> int:
 def _cmd_audio(args) -> int:
     from repro.adtech.audio import AudioAdServer
     from repro.core.adcontent import extract_audio_ads, transcribe_session
+    from repro.core.report import render_table
     from repro.data import categories as cat
 
-    server = AudioAdServer(Seed(args.seed).derive("audio"))
+    server = AudioAdServer(repro.Seed(args.seed).derive("audio"))
     rows = []
     for skill in ("Amazon Music", "Spotify", "Pandora"):
         for persona in (cat.CONNECTED_CAR, cat.FASHION, cat.VANILLA):

@@ -45,28 +45,25 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import multiprocessing
+import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 from repro.core.experiment import (
     AuditDataset,
     ExperimentConfig,
     _run_serial_experiment,
 )
-from repro.core.iosim import current_storage_faults, is_enospc
-from repro.core.parallel import (
-    BACKENDS,
-    ON_SHARD_FAILURE,
-    SupervisorPolicy,
-    WorkerFaultPlan,
-    _run_parallel_experiment,
-    shard_personas,
-)
 from repro.core.personas import scaled_roster
 from repro.obs import NULL_OBS, ObsCollector, RunManifest
 from repro.util.rng import Seed
+
+if TYPE_CHECKING:
+    # The supervisor (with multiprocessing), the segment store and the
+    # storage seam are imported on the paths that use them: a campaign
+    # set-up loads none of them, a serial run never loads the supervisor.
+    from repro.core.parallel import WorkerFaultPlan
 
 __all__ = [
     "SPEC_SCHEMA_VERSION",
@@ -86,6 +83,15 @@ SPEC_SCHEMA_VERSION = 1
 #: ``AuditDataset``; ``"segments"`` streams persona batches through the
 #: on-disk :class:`~repro.core.segments.SegmentStore`.
 STORES = ("memory", "segments")
+
+#: Worker backends.  Shard workers are always forked processes: the
+#: campaign is pure Python under one GIL, so only a process gains from
+#: running personas side by side.  Kept as a tuple because
+#: ``CampaignSpec.backend`` (spec schema 1) still names it.
+BACKENDS = ("process",)
+
+#: Supervisor policies for a shard that exhausts its attempts.
+ON_SHARD_FAILURE = ("retry", "degrade", "raise")
 
 #: Default worker count when ``parallel=True`` and ``workers`` is unset.
 _DEFAULT_WORKERS = 2
@@ -214,7 +220,7 @@ class CampaignSpec:
                 "removed) — omit backend or set it to \"process\", or run "
                 "with parallel=False"
             )
-        if self.parallel and "fork" not in multiprocessing.get_all_start_methods():
+        if self.parallel and not hasattr(os, "fork"):
             raise ValueError(
                 "parallel=True needs the fork start method, which this "
                 "platform lacks — run with parallel=False"
@@ -544,6 +550,12 @@ def _execute(
     roster = tuple(p.name for p in scaled_roster(config.roster_scale))
 
     if spec.parallel:
+        from repro.core.parallel import (
+            SupervisorPolicy,
+            _run_parallel_experiment,
+            shard_personas,
+        )
+
         n_workers = _DEFAULT_WORKERS if spec.workers is None else spec.workers
         policy = SupervisorPolicy(
             on_shard_failure=spec.on_shard_failure,
@@ -609,6 +621,8 @@ def _execute(
         )
 
     if dataset.obs is not None:
+        from repro.core.iosim import current_storage_faults
+
         plan = current_storage_faults()
         if plan is not None:
             # Fold the storage fault accounting into the run's trace so
@@ -697,6 +711,7 @@ def run_segment_campaign(
     parallel run dropped personas.
     """
     from repro.core.cache import config_fingerprint
+    from repro.core.iosim import current_storage_faults
     from repro.core.segments import SegmentStore
 
     if config is None:
@@ -769,7 +784,7 @@ def run_segment_positions(
     import functools
     import gc
 
-    from repro.core.parallel import _ShardSupervisor
+    from repro.core.iosim import is_enospc
     from repro.core.segments import run_segment_shard, write_segment_batch
     from repro.data.skill_catalog import build_catalog
 
@@ -820,6 +835,8 @@ def run_segment_positions(
             # generational GC's schedule across a long roster.
             gc.collect()
         return ()
+
+    from repro.core.parallel import SupervisorPolicy, _ShardSupervisor, shard_personas
 
     n_workers = _DEFAULT_WORKERS if workers is None else workers
     if n_workers < 1:

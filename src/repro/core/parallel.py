@@ -82,6 +82,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.core.campaign import BACKENDS, ON_SHARD_FAILURE
 from repro.core.checkpoint import ShardJournal
 from repro.core.experiment import (
     AuditDataset,
@@ -115,15 +116,6 @@ __all__ = [
     "shard_personas",
     "merge_shard_results",
 ]
-
-#: Worker backends.  Shard workers are always forked processes: the
-#: campaign is pure Python under one GIL, so only a process gains from
-#: running personas side by side.  Kept as a tuple because
-#: ``CampaignSpec.backend`` (spec schema 1) still names it.
-BACKENDS = ("process",)
-
-#: Supervisor policies for a shard that exhausts its attempts.
-ON_SHARD_FAILURE = ("retry", "degrade", "raise")
 
 #: Injectable worker failure modes, in decision-draw order (the order is
 #: part of the deterministic contract, as in ``netsim.faults``).

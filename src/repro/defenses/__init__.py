@@ -6,13 +6,15 @@
   so only text commands reach the platform, after Porcupine/Rhasspy.
 """
 
-from repro.defenses.blocking import BlockingRouter, BlockReport, evaluate_blocking
-from repro.defenses.local_voice import LocalProcessingEcho, voice_exposure
+from repro import _lazy_exports
 
-__all__ = [
-    "BlockReport",
-    "BlockingRouter",
-    "LocalProcessingEcho",
-    "evaluate_blocking",
-    "voice_exposure",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "BlockReport": "blocking",
+        "BlockingRouter": "blocking",
+        "LocalProcessingEcho": "local_voice",
+        "evaluate_blocking": "blocking",
+        "voice_exposure": "local_voice",
+    },
+)

@@ -18,33 +18,27 @@ from ``dataset.obs``.  Disabled observability is the
 never branches on an ``if``.
 """
 
-from repro.obs.collector import NULL_OBS, NullObs, ObsCollector, merge_collectors
-from repro.obs.events import (
-    EVENT_SCHEMA_VERSION,
-    EventLog,
-    event_line,
-    make_event_record,
-)
-from repro.obs.manifest import MANIFEST_SCHEMA_VERSION, RunManifest
-from repro.obs.metrics import MERGE_POLICIES, Counter, Gauge, MetricsRegistry
-from repro.obs.tracer import SPAN_SCHEMA_VERSION, Span, Tracer
+from repro import _lazy_exports
 
-__all__ = [
-    "Counter",
-    "EVENT_SCHEMA_VERSION",
-    "EventLog",
-    "Gauge",
-    "MANIFEST_SCHEMA_VERSION",
-    "MERGE_POLICIES",
-    "MetricsRegistry",
-    "NULL_OBS",
-    "NullObs",
-    "ObsCollector",
-    "RunManifest",
-    "SPAN_SCHEMA_VERSION",
-    "Span",
-    "Tracer",
-    "event_line",
-    "make_event_record",
-    "merge_collectors",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "Counter": "metrics",
+        "EVENT_SCHEMA_VERSION": "events",
+        "EventLog": "events",
+        "Gauge": "metrics",
+        "MANIFEST_SCHEMA_VERSION": "manifest",
+        "MERGE_POLICIES": "metrics",
+        "MetricsRegistry": "metrics",
+        "NULL_OBS": "collector",
+        "NullObs": "collector",
+        "ObsCollector": "collector",
+        "RunManifest": "manifest",
+        "SPAN_SCHEMA_VERSION": "tracer",
+        "Span": "tracer",
+        "Tracer": "tracer",
+        "event_line": "events",
+        "make_event_record": "events",
+        "merge_collectors": "collector",
+    },
+)

@@ -4,21 +4,21 @@ The auditor-side knowledge used to turn raw endpoints from captures into
 organizations and advertising/tracking labels (paper §3.2, §4.2).
 """
 
-from repro.orgmap.entity_db import EntityDatabase, OrgEntity
-from repro.orgmap.filterlists import FilterList, FilterRule, parse_rules
-from repro.orgmap.resolver import UNKNOWN_ORG, Attribution, OrgResolver
-from repro.orgmap.whois import REDACTED, WhoisRecord, WhoisService
+from repro import _lazy_exports
 
-__all__ = [
-    "Attribution",
-    "EntityDatabase",
-    "FilterList",
-    "FilterRule",
-    "OrgEntity",
-    "OrgResolver",
-    "REDACTED",
-    "UNKNOWN_ORG",
-    "WhoisRecord",
-    "WhoisService",
-    "parse_rules",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "Attribution": "resolver",
+        "EntityDatabase": "entity_db",
+        "FilterList": "filterlists",
+        "FilterRule": "filterlists",
+        "OrgEntity": "entity_db",
+        "OrgResolver": "resolver",
+        "REDACTED": "whois",
+        "UNKNOWN_ORG": "resolver",
+        "WhoisRecord": "whois",
+        "WhoisService": "whois",
+        "parse_rules": "filterlists",
+    },
+)

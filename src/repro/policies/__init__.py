@@ -1,17 +1,14 @@
 """Privacy policies: corpus generation and PoliCheck consistency analysis."""
 
-from repro.policies.corpus import (
-    AMAZON_POLICY_TEXT,
-    PHRASING_NOISE_RATE,
-    PolicyCorpus,
-    PolicyDocument,
-    build_corpus,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "AMAZON_POLICY_TEXT",
-    "PHRASING_NOISE_RATE",
-    "PolicyCorpus",
-    "PolicyDocument",
-    "build_corpus",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "AMAZON_POLICY_TEXT": "corpus",
+        "PHRASING_NOISE_RATE": "corpus",
+        "PolicyCorpus": "corpus",
+        "PolicyDocument": "corpus",
+        "build_corpus": "corpus",
+    },
+)

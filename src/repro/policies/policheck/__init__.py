@@ -1,43 +1,24 @@
 """PoliCheck-style privacy-policy consistency analysis (paper §7.2)."""
 
-from repro.policies.policheck.analyzer import (
-    DISCLOSURE_CLASSES,
-    Disclosure,
-    PolicheckAnalyzer,
-)
-from repro.policies.policheck.extraction import (
-    DataFlow,
-    extract_datatype_flows,
-    extract_endpoint_flows,
-)
-from repro.policies.policheck.ontology import (
-    DataOntology,
-    EntityOntology,
-    TermMatch,
-    default_data_ontology,
-    default_entity_ontology,
-)
-from repro.policies.policheck.validation import (
-    CODER_NOISE_RATE,
-    ValidationReport,
-    human_code_flows,
-    score_multiclass,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "CODER_NOISE_RATE",
-    "DISCLOSURE_CLASSES",
-    "DataFlow",
-    "DataOntology",
-    "Disclosure",
-    "EntityOntology",
-    "PolicheckAnalyzer",
-    "TermMatch",
-    "ValidationReport",
-    "default_data_ontology",
-    "default_entity_ontology",
-    "extract_datatype_flows",
-    "extract_endpoint_flows",
-    "human_code_flows",
-    "score_multiclass",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "CODER_NOISE_RATE": "validation",
+        "DISCLOSURE_CLASSES": "analyzer",
+        "DataFlow": "extraction",
+        "DataOntology": "ontology",
+        "Disclosure": "analyzer",
+        "EntityOntology": "ontology",
+        "PolicheckAnalyzer": "analyzer",
+        "TermMatch": "ontology",
+        "ValidationReport": "validation",
+        "default_data_ontology": "ontology",
+        "default_entity_ontology": "ontology",
+        "extract_datatype_flows": "extraction",
+        "extract_endpoint_flows": "extraction",
+        "human_code_flows": "validation",
+        "score_multiclass": "validation",
+    },
+)

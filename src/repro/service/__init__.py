@@ -34,34 +34,22 @@ Start one from the CLI (``repro serve --root jobs/``) or in process::
         print(service.url)
 """
 
-from repro.service.app import AuditService
-from repro.service.jobs import (
-    JOB_SCHEMA_VERSION,
-    JOB_STATES,
-    TERMINAL_STATES,
-    Job,
-    JobEventWriter,
-    JobStore,
-    SubmitError,
-)
-from repro.service.scheduler import (
-    CampaignScheduler,
-    DrainingError,
-    QueueFullError,
-    worker_cost,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "AuditService",
-    "CampaignScheduler",
-    "DrainingError",
-    "JOB_SCHEMA_VERSION",
-    "JOB_STATES",
-    "Job",
-    "JobEventWriter",
-    "JobStore",
-    "QueueFullError",
-    "SubmitError",
-    "TERMINAL_STATES",
-    "worker_cost",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "AuditService": "app",
+        "CampaignScheduler": "scheduler",
+        "DrainingError": "scheduler",
+        "JOB_SCHEMA_VERSION": "jobs",
+        "JOB_STATES": "jobs",
+        "Job": "jobs",
+        "JobEventWriter": "jobs",
+        "JobStore": "jobs",
+        "QueueFullError": "scheduler",
+        "SubmitError": "jobs",
+        "TERMINAL_STATES": "jobs",
+        "worker_cost": "scheduler",
+    },
+)

@@ -6,8 +6,14 @@ named substreams from a :class:`~repro.util.rng.Seed` and read time from a
 :class:`~repro.util.clock.SimClock`.
 """
 
-from repro.util.clock import SimClock
-from repro.util.ids import IdFactory, stable_hash
-from repro.util.rng import Seed
+from repro import _lazy_exports
 
-__all__ = ["Seed", "SimClock", "IdFactory", "stable_hash"]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "Seed": "rng",
+        "SimClock": "clock",
+        "IdFactory": "ids",
+        "stable_hash": "ids",
+    },
+)

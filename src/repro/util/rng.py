@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Iterable, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["Seed", "StreamFamily", "derive_seed_int"]
 
@@ -62,7 +63,10 @@ class Seed:
         return random.Random(derive_seed_int(self.root, parts))
 
     def numpy_rng(self, *parts: object) -> np.random.Generator:
-        """Return a NumPy ``Generator`` for the substream named by ``parts``."""
+        """Return a NumPy ``Generator`` for the substream named by ``parts``
+        (NumPy is imported here, never by ``import repro``)."""
+        import numpy as np
+
         return np.random.default_rng(derive_seed_int(self.root, parts))
 
     def __eq__(self, other: object) -> bool:

@@ -1,30 +1,20 @@
 """Web measurement substrate: browsers, profiles, and the OpenWPM-style
 crawler used for bid/ad collection and cookie-sync observation."""
 
-from repro.web.browser import (
-    Browser,
-    BrowserProfile,
-    CookieJar,
-    LoggedRequest,
-    WebUniverse,
-)
-from repro.web.openwpm import (
-    AdRecord,
-    BidRecord,
-    CrawlResult,
-    OpenWPMCrawler,
-    discover_prebid_sites,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "AdRecord",
-    "BidRecord",
-    "Browser",
-    "BrowserProfile",
-    "CookieJar",
-    "CrawlResult",
-    "LoggedRequest",
-    "OpenWPMCrawler",
-    "WebUniverse",
-    "discover_prebid_sites",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "AdRecord": "openwpm",
+        "BidRecord": "openwpm",
+        "Browser": "browser",
+        "BrowserProfile": "browser",
+        "CookieJar": "browser",
+        "CrawlResult": "openwpm",
+        "LoggedRequest": "browser",
+        "OpenWPMCrawler": "openwpm",
+        "WebUniverse": "browser",
+        "discover_prebid_sites": "openwpm",
+    },
+)

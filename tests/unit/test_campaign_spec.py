@@ -236,3 +236,48 @@ class TestSpecExecution:
         spec = CampaignSpec(config=TINY, store="segments")
         with pytest.raises(ValueError, match="execute_spec"):
             run_campaign(spec)
+
+
+class TestCliRejectsInvalidSpecFiles:
+    """``run --spec``, ``submit`` and ``timeline run --spec`` report an
+    invalid document as one line and exit 2, like every other argument
+    error: no traceback, and nothing runs or goes out."""
+
+    @staticmethod
+    def _documents(kind):
+        if kind == "timeline":
+            from repro.core.timeline import TimelineSpec
+
+            base = CampaignSpec(config=TINY, store="segments")
+            valid = TimelineSpec.generate(base).to_dict()
+            thread = json.loads(json.dumps(valid))
+            thread["base"]["backend"] = "thread"
+        else:
+            valid = CampaignSpec(config=TINY, parallel=True).to_dict()
+            thread = dict(valid, backend="thread")
+        return {"thread": (thread, "'thread'"), "unknown": (dict(valid, bogus=1), "bogus")}
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["run", "--spec", "{path}", "--out", "{out}"],
+            ["submit", "{path}", "--url", "http://127.0.0.1:9"],
+            ["timeline", "run", "--spec", "{path}", "--out", "{out}"],
+        ],
+        ids=["run", "submit", "timeline-run"],
+    )
+    @pytest.mark.parametrize("flaw", ["thread", "unknown"])
+    def test_invalid_spec_is_one_line_and_exit_2(self, tmp_path, capsys, command, flaw):
+        from repro.cli import main
+
+        document, needle = self._documents(command[0])[flaw]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = [arg.format(path=path, out=out) for arg in command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.out.splitlines()
+        assert line.startswith("invalid ") and str(path) in line and needle in line
+        assert "Traceback" not in captured.err
+        assert not out.exists()

@@ -5,19 +5,55 @@ GC-tracked objects; no ``repro`` code path needs it, and only the
 significance tests need ``scipy.special``.  Forked shard workers
 ``gc.freeze()`` the heap they inherit so their collections walk only
 what the shard allocates; the parent never does.
+
+Cold start: every package re-exports lazily, so a fresh interpreter
+that sets up a campaign imports the simulation and nothing of the
+analysis, export or supervisor layers, nor NumPy.  A forked worker
+never imports after the fork: the parent loads everything a shard body
+needs first.
 """
 
 import gc
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from repro import CampaignSpec, ExperimentConfig
 from repro.core.parallel import SupervisorPolicy, _ShardSupervisor
 from repro.util.rng import Seed
 
 SRC_DIR = Path(__file__).resolve().parents[2] / "src"
 PLAN = [["a", "b"], ["c"]]
+TINY = ExperimentConfig(
+    skills_per_persona=2,
+    pre_iterations=1,
+    post_iterations=1,
+    crawl_sites=2,
+    prebid_discovery_target=5,
+    audio_hours=0.5,
+)
+#: Modules a campaign set-up or a CLI start must not load: NumPy and
+#: SciPy, the supervisor's multiprocessing, the service, and the
+#: analysis, export, store and supervisor layers of ``repro.core``.
+HEAVY = ["numpy", "scipy", "multiprocessing", "repro.service"] + [
+    f"repro.core.{name}"
+    for name in (
+        "parallel", "segments", "cache", "checkpoint", "fsck", "timeline",
+        "export", "stats", "bids", "traffic", "report", "syncing",
+        "compliance", "profiling", "adcontent",
+    )
+]
+#: ``repro.*`` modules a cold campaign set-up loads.  Re-measure after
+#: changing an import with ``PYTHONPATH=src python -c "import sys, repro;
+#: from repro.core.world import build_config_world;
+#: spec = repro.CampaignSpec.from_json('{}');
+#: build_config_world(repro.Seed(0), spec.config);
+#: print(sum(m.split('.')[0] == 'repro' for m in sys.modules))"``.
+COLD_SETUP_REPRO_MODULES = 58
 
 
 def _run_python(code: str) -> str:
@@ -28,6 +64,19 @@ def _run_python(code: str) -> str:
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     return done.stdout.strip()
+
+
+def _loaded_after(code: str, watched) -> list:
+    """Run ``code`` in a fresh interpreter; its output lines, then the
+    sorted ``watched`` modules (or their submodules) it left loaded."""
+    out = _run_python(
+        "import sys\n"
+        + code
+        + f"\nwatched = {sorted(watched)!r}\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if any(m == w or m.startswith(w + '.') for w in watched)))"
+    )
+    return out.splitlines()
 
 
 def test_import_repro_loads_no_scipy():
@@ -48,6 +97,64 @@ def test_significance_tests_leave_scipy_stats_unloaded():
         "print('scipy.special' in sys.modules, 'scipy.stats' in sys.modules)"
     )
     assert loaded == "True False"
+
+
+class TestColdStart:
+    def test_campaign_setup_imports_only_the_simulation(self):
+        specs = [
+            CampaignSpec(config=TINY).to_json(),
+            CampaignSpec(config=TINY, parallel=True, store="segments").to_json(),
+        ]
+        lines = _loaded_after(
+            "import repro\n"
+            "from repro.core.world import build_config_world\n"
+            f"for text in {specs!r}:\n"
+            "    spec = repro.CampaignSpec.from_json(text)\n"
+            "    build_config_world(repro.Seed(spec.seed), spec.config)\n"
+            "print(sum(m.split('.')[0] == 'repro' for m in sys.modules))",
+            HEAVY + ["repro.cli"],
+        )
+        assert lines == [str(COLD_SETUP_REPRO_MODULES), "[]"]
+
+    def test_cli_version_and_help_import_only_the_cli(self):
+        """The CLI resolves the campaign API through the lazy ``repro``
+        package when a command runs, so printing the version or the
+        usage loads no ``repro`` module beyond the CLI itself."""
+        for argv in (["version"], ["--help"]):
+            lines = _loaded_after(
+                "import runpy\n"
+                f"sys.argv = ['repro', *{argv!r}]\n"
+                "try:\n"
+                "    runpy.run_module('repro', run_name='__main__')\n"
+                "except SystemExit as exc:\n"
+                "    assert exc.code == 0, exc.code\n",
+                HEAVY + ["repro"],
+            )
+            assert lines[-1] == "['repro', 'repro.cli']", argv
+
+    @pytest.mark.parametrize("store", ["memory", "segments"])
+    def test_forked_worker_imports_nothing_after_the_fork(self, tmp_path, store):
+        spec = CampaignSpec(
+            config=TINY,
+            parallel=True,
+            store=store,
+            store_dir=str(tmp_path / "store") if store == "segments" else None,
+        )
+        out = _run_python(
+            "import json, sys\n"
+            "import repro.core.parallel as parallel\n"
+            "from repro import CampaignSpec, run_campaign\n"
+            "real = parallel._shard_worker\n"
+            "def recording_worker(conn, shard_index, *args):\n"
+            "    before = set(sys.modules)\n"
+            "    real(conn, shard_index, *args)\n"
+            "    changed = sorted(set(sys.modules) ^ before)\n"
+            "    print(json.dumps([shard_index, changed]), flush=True)\n"
+            "parallel._shard_worker = recording_worker\n"
+            f"run_campaign(CampaignSpec.from_json({spec.to_json()!r}))\n"
+        )
+        shards = sorted(json.loads(line) for line in out.splitlines())
+        assert shards == [[0, []], [1, []]]
 
 
 def _freeze_count_shard(shard_index, seed, config, persona_names, collect_obs):
