@@ -90,10 +90,7 @@ def main(argv=None) -> int:
         # about.  The large run brings CPython's interned-identifier
         # table to its final size (pathlib interns every path component,
         # and a table rehash transiently holds both the old and new
-        # ~MB-sized tables); only the small roster reaches the lazy
-        # imports of small-sample code (``scipy.special`` for exact
-        # Mann-Whitney p-values, ``numpy.ma`` for medians), about 10 MiB
-        # of module objects that would otherwise land in a traced peak.
+        # ~MB-sized tables).
         for scale in (args.small_scale, args.large_scale):
             _campaign_peak_bytes(scale, args.batch_personas, root / "warm")
         tracemalloc.start()

@@ -1,8 +1,8 @@
 """What a ``repro`` process loads, and what forked shard workers freeze.
 
-``scipy.stats`` costs hundreds of modules and tens of thousands of
-GC-tracked objects; no ``repro`` code path needs it, and only the
-significance tests need ``scipy.special``.  Forked shard workers
+A campaign run loads neither NumPy nor SciPy: the significance tests
+and bid summaries are standard-library kernels, and a run completes
+in an interpreter that cannot import either.  Forked shard workers
 ``gc.freeze()`` the heap they inherit so their collections walk only
 what the shard allocates; the parent never does.
 
@@ -87,16 +87,50 @@ def test_import_repro_loads_no_scipy():
     assert loaded == "[]"
 
 
-def test_significance_tests_leave_scipy_stats_unloaded():
-    loaded = _run_python(
-        "import sys\n"
-        "from repro.core.stats import mann_whitney_u\n"
+def test_significance_tests_load_neither_numpy_nor_scipy():
+    lines = _loaded_after(
+        "from repro.core.stats import mann_whitney_u, summarize\n"
         "exact = mann_whitney_u([3.0, 4.0, 5.0], [1.0, 2.0])\n"
         "asymptotic = mann_whitney_u(range(20), [x + 0.5 for x in range(5, 25)])\n"
         "assert exact.n_treatment < 8 and asymptotic.n_treatment >= 8\n"
-        "print('scipy.special' in sys.modules, 'scipy.stats' in sys.modules)"
+        "summarize([0.25, 0.5, 4.0])",
+        ["numpy", "scipy"],
     )
-    assert loaded == "True False"
+    assert lines == ["[]"]
+
+
+#: Makes ``numpy`` and ``scipy`` unimportable in a fresh interpreter.
+BLOCK_NUMPY_AND_SCIPY = (
+    "import sys\n"
+    "class BlockNumpyAndScipy:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name.split('.')[0] in ('numpy', 'scipy'):\n"
+    "            raise ImportError(f'{name} is blocked')\n"
+    "sys.meta_path.insert(0, BlockNumpyAndScipy())\n"
+)
+
+
+def test_campaign_runs_where_numpy_and_scipy_cannot_be_imported(tmp_path):
+    """Serial memory store and parallel segment store, with their
+    export bytes equal to the same specs run here."""
+    from repro import execute_spec
+    from repro.core.export import EXPORT_FILES
+
+    specs = [
+        CampaignSpec(config=TINY),
+        CampaignSpec(config=TINY, store="segments", parallel=True),
+    ]
+    _run_python(
+        BLOCK_NUMPY_AND_SCIPY
+        + "from repro import CampaignSpec, execute_spec\n"
+        f"for i, text in enumerate({[spec.to_json() for spec in specs]!r}):\n"
+        f"    execute_spec(CampaignSpec.from_json(text), {str(tmp_path)!r} + f'/blocked-{{i}}')\n"
+    )
+    for i, spec in enumerate(specs):
+        execute_spec(spec, tmp_path / f"here-{i}")
+        for name in EXPORT_FILES:
+            blocked = (tmp_path / f"blocked-{i}" / name).read_bytes()
+            assert blocked == (tmp_path / f"here-{i}" / name).read_bytes(), (i, name)
 
 
 class TestColdStart:
