@@ -1,12 +1,11 @@
-"""Supervisor + checkpointing overhead on a healthy parallel run.
+"""Supervisor overhead on a healthy parallel run.
 
-The crash-safe execution layer (the shard supervisor in
-``repro.core.parallel`` and the journal in ``repro.core.checkpoint``)
-must be close to free when nothing goes wrong: its budget is <5%
-wall-clock over a bare scatter/gather.  The baseline is that bare loop,
-reconstructed inline on the same forked workers: submit every shard to
-a fork ``ProcessPoolExecutor``, gather results, merge — no journal, no
-per-attempt pipes, no watchdog, no retry bookkeeping.
+The crash-safe shard supervisor (``repro.core.parallel``) must be close
+to free when nothing goes wrong: its budget is <5% wall-clock over a
+bare scatter/gather.  The baseline is that bare loop, reconstructed
+inline on the same forked workers: submit every shard to a fork
+``ProcessPoolExecutor``, gather results, merge — no per-attempt pipes,
+no watchdog, no retry bookkeeping.
 """
 
 import multiprocessing
@@ -22,14 +21,13 @@ from repro.util.rng import Seed
 WORKERS = 4
 
 
-def bench_supervisor_overhead(benchmark, bench_record, tmp_path):
-    """Supervised + checkpointed run vs a bare fork-pool scatter/gather.
+def bench_supervisor_overhead(benchmark, bench_record):
+    """Supervised run vs a bare fork-pool scatter/gather.
 
     Both legs run the identical healthy 4-worker campaign in forked
     processes with observability off, so the measured delta is purely
     the supervisor machinery: a fresh process and pipe per shard
-    attempt, the parent's journal write (pickle + fsync) per shard, and
-    the manifest writes.  The stated budget is <5%; the asserted bound
+    attempt, and the attempt bookkeeping.  The stated budget is <5%; the asserted bound
     is looser (15%) to absorb shared-runner timing noise — the
     ``supervisor_overhead`` ratio in ``extra_info`` is the number to
     watch for drift.
@@ -68,7 +66,6 @@ def bench_supervisor_overhead(benchmark, bench_record, tmp_path):
             seed,
             parallel=True,
             workers=WORKERS,
-            checkpoint_dir=tmp_path / "journal",
             obs=False,
         )
 
@@ -83,25 +80,23 @@ def bench_supervisor_overhead(benchmark, bench_record, tmp_path):
     bare_futures()  # warm imports and caches
     baseline = best_of(bare_futures)
     supervised_dataset = benchmark.pedantic(supervised, rounds=1, iterations=1)
-    checkpointed = best_of(supervised)
+    supervised_seconds = best_of(supervised)
 
-    overhead = checkpointed / baseline
+    overhead = supervised_seconds / baseline
     benchmark.extra_info["bare_futures_seconds"] = round(baseline, 3)
-    benchmark.extra_info["supervised_seconds"] = round(checkpointed, 3)
+    benchmark.extra_info["supervised_seconds"] = round(supervised_seconds, 3)
     benchmark.extra_info["supervisor_overhead"] = round(overhead, 4)
     bench_record(
         "bench_supervisor_overhead",
         bare_futures_seconds=round(baseline, 3),
-        supervised_seconds=round(checkpointed, 3),
+        supervised_seconds=round(supervised_seconds, 3),
         supervisor_overhead=round(overhead, 4),
     )
 
-    # The supervised leg really checkpointed: the journal is complete.
-    assert (tmp_path / "journal" / "journal.json").is_file()
     assert len(supervised_dataset.personas) == len(all_personas())
     assert supervised_dataset.missing_personas == ()
     assert overhead <= 1.15, (
         f"supervisor overhead {100 * (overhead - 1):.1f}% exceeds the "
-        f"budget (supervised {checkpointed:.2f}s vs bare futures "
+        f"budget (supervised {supervised_seconds:.2f}s vs bare futures "
         f"{baseline:.2f}s)"
     )

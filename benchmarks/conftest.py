@@ -58,10 +58,8 @@ def dataset():
     """The paper-scale campaign (450 skills, 31 crawl iterations, 13
     personas) under the default seed, run once per session.
 
-    Always computed by the code under test, never read from the on-disk
-    dataset cache: that cache is keyed by seed and config only, so after
-    a model change a warm cache would serve every benchmark the old
-    results.
+    Always computed by the code under test: nothing on disk can serve
+    a benchmark the results of an older model.
     """
     return run_campaign(seed=42)
 
@@ -74,8 +72,7 @@ def segment_store(dataset, tmp_path_factory):
     segment streams instead of the in-memory artifact bundle; writing
     the store once per session keeps the comparison apples-to-apples.
     """
-    from repro.core.cache import config_fingerprint
-    from repro.core.experiment import ExperimentConfig
+    from repro.core.experiment import ExperimentConfig, config_fingerprint
     from repro.core.segments import SegmentStore, write_dataset_segments
 
     store = SegmentStore(

@@ -12,8 +12,8 @@ PREAMBLE = """\
 ## CampaignSpec: one serializable campaign description
 
 `repro.core.campaign.CampaignSpec` is the single description of a
-campaign execution — config, seed, worker topology, cache,
-observability, crash-safety knobs, and store selection — shared
+campaign execution — config, seed, worker topology, observability,
+crash-safety knobs, and store selection — shared
 verbatim by the Python API (`run_campaign(spec)`), the CLI
 (`repro run --spec spec.json`), and the HTTP service (`POST
 /campaigns`).  Properties the rest of the system builds on:
@@ -29,8 +29,8 @@ verbatim by the Python API (`run_campaign(spec)`), the CLI
 * **Stable fingerprint.**  `spec.fingerprint()` digests the canonical
   JSON — identical across processes and machines; job identity for the
   service and a reuse key everywhere else.
-* **Runtime companions stay out.**  A live `ObsCollector`, a
-  `DatasetCache` instance, or a `WorkerFaultPlan` are per-process
+* **Runtime companions stay out.**  A live `ObsCollector` or a
+  `WorkerFaultPlan` are per-process
   overrides accepted by the kwargs form of `run_campaign` only — they
   cannot cross a process boundary, so they are not spec fields.
 
@@ -70,6 +70,13 @@ processes.  The field stays because schema 1 and every existing spec
 fingerprint include it; the removed `"thread"` value fails with a
 message that names the replacement (omit `backend`, or run with
 `parallel=False`).
+
+`cache`, `cache_copy`, `checkpoint_dir` and `resume` follow the same
+rule.  They belonged to the removed pickle dataset cache and shard
+checkpoint journal, and accept only the defaults shown above; any other
+value fails with one message naming the replacement, `store:
+"segments"` plus `store_dir` (a rerun into the same store resumes from
+its covered batches).
 
 ## Longitudinal timelines: `TimelineSpec`
 
@@ -152,12 +159,14 @@ one epoch, not a diff — so any epoch is independently executable via
 **Job lifecycle.**  `queued` → `running` → one of the terminal states
 `complete`, `partial` (a degraded parallel campaign dropped personas),
 `failed`, or `cancelled`.  Each job owns a directory under the service
-root (`spec.json`, `state.json`, `events.jsonl`, `out/`, plus
-per-job `checkpoint/` and `segments/` namespaces), with every state
-write atomic.  Kill the service mid-campaign and restart it on the same
-root: non-terminal jobs are re-enqueued and **resume** from their own
-crash-safe checkpoints (shard journal or content-addressed segment
-batches), producing exports byte-identical to an uninterrupted run.
+root (`spec.json`, `state.json`, `events.jsonl`, `out/`, plus a
+per-job `segments/` store), with every state write atomic.  Every job
+runs on its own segment store, whatever store its spec names (the two
+stores export byte-identical files); the spec's `store_dir` is
+service-managed and must be unset.  Kill the service mid-campaign and
+restart it on the same root: non-terminal jobs are re-enqueued and
+**resume** from their content-addressed segment batches, producing
+exports byte-identical to an uninterrupted run.
 
 **Scheduling.**  `CampaignScheduler` admits jobs strict-FIFO under a
 worker-token budget (`--total-workers`): a serial campaign costs one
@@ -183,7 +192,8 @@ nor double-release tokens.
 
 **Events.**  The job log speaks the obs event schema (`schema`, `seq`,
 `type`, `sim_time`, `fields`): `job.submitted`, `job.started`
-(`resumed` flag), `job.progress` (completed shards/batches),
+(`resumed` flag: the job's segment store was already there),
+`job.progress` (completed batches, for every job),
 `job.finished` / `job.failed` / `job.cancelled` / `job.recovered`.
 The SSE endpoint emits each line as one `data:` frame and closes with
 `event: end` + the terminal state.
@@ -216,8 +226,9 @@ four artifacts:
   occurrences: phase completions, skill-install failures, DSAR
   re-requests.
 * **Manifest** (`dataset.obs.manifest`) — how the run was executed: seed
-  root, config fingerprint, entrypoint (`serial`/`parallel`/`cached`),
-  worker topology and persona shards, cache hit, package version.
+  root, config fingerprint, entrypoint (`serial`/`parallel`),
+  worker topology and persona shards, per-shard attempt history,
+  package version (manifest schema 4).
 
 Write everything as one JSONL trace with
 `dataset.obs.write_trace(path)`, or from the CLI with
@@ -307,16 +318,18 @@ treatment as the network (`FaultPlan`) and the workers
   `harsh`) or an overall rate (`rate:0.05`).
 * **`StorageFaultPlan`** — turns a profile into concrete
   `FaultDecision`s drawn from `Seed.derive("storage")`
-  substreams keyed by `(component, op)` (`segments`, `checkpoint`,
-  `cache`, `service`, …), so a component's fault schedule depends only
+  substreams keyed by `(component, op)` (`segments`, `jobs`, `fsck`),
+  so a component's fault schedule depends only
   on its own operation sequence — never on shard composition.
   `plan.exhaust(component, op, after=N)` switches an op to persistent
   `ENOSPC` after N calls for disk-full drills; `plan.snapshot()` /
-  `plan.summary()` expose the counters that campaigns fold into
-  observability as `storage.*`.
+  `plan.summary()` expose the `storage.*` counters, which a segment
+  campaign writes into its store manifest's `storage` block.
 * **Installation is harness-level** — `install_storage_faults(...)` /
   the `storage_faults(...)` context manager in Python, the
-  `--storage-faults` flag on the CLI, or
+  `--storage-faults` flag of `repro run --store segments` (a
+  memory-store campaign touches no storage, so the flag exits 2
+  without `--store segments`), or
   `REPRO_STORAGE_FAULTS=<profile>:<seed>` in the environment.
   `propagate=True` exports that variable for spawned workers and
   raises `ValueError` for a plan it cannot carry: a custom profile or
@@ -326,8 +339,8 @@ treatment as the network (`FaultPlan`) and the workers
 
 The injection seam is `repro.core.checkpoint.atomic_write_bytes`
 (write-temp → fsync → rename → **parent-dir fsync**) plus the read
-paths of the digest cache, sidecar indexes, checkpoint shards, and the
-dataset cache.  The hardening contract:
+paths of the digest cache and the sidecar indexes.  The hardening
+contract:
 
 * Transient faults (`eio`, `fsync`, `rename`, `torn`, `slow`) are
   retried behind the seam with capped exponential backoff
@@ -351,15 +364,15 @@ dataset cache.  The hardening contract:
 
 **`repro fsck <dir> [--repair] [--out report.json]`**
 (`repro.core.fsck.fsck_path`) is the offline audit.  It auto-detects
-what a directory holds — a segment store or single campaign, a
-checkpoint journal, a service job tree (recursing into each job's
-`checkpoint/` and `segments/`) — and classifies every artifact:
+what a directory holds — a segment store or single campaign, or a
+service job tree (recursing into each job's `segments/`) — and
+classifies every artifact:
 
 | verdict | meaning | examples |
 |---|---|---|
-| `ok` | passes every integrity check | verified segment, valid shard |
-| `repaired` | reconstructible from surviving artifacts | rebuild a sidecar index, prune a stale digest cache, re-stamp a lost journal manifest, truncate a torn event-log tail |
-| `quarantined` | recomputable — moved to `*.corrupt` so a rerun recomputes | digest-mismatched segment + its marker, corrupt shard, corrupt `state.json` |
+| `ok` | passes every integrity check | verified segment, valid batch marker |
+| `repaired` | reconstructible from surviving artifacts | rebuild a sidecar index, prune a stale digest cache, truncate a torn event-log tail |
+| `quarantined` | recomputable — moved to `*.corrupt` so a rerun recomputes | digest-mismatched segment + its marker, corrupt `state.json` |
 | `unrecoverable` | identity-bearing, reported but never deleted | store `MANIFEST.json`, job `spec.json`, interior event-log damage |
 
 Without `--repair` the identical report is a dry run (`applied:
@@ -369,46 +382,45 @@ unrecoverable.
 
 ## Crash safety & resume
 
-Parallel campaigns run with a `checkpoint_dir` checkpoint every
-completed shard and can be resumed after a crash.  The layer has two halves:
+The segment store is the one durable resume path.  A campaign run with
+`store="segments"` (CLI `--store segments --store-dir DIR`) publishes
+every batch of personas atomically — content-addressed segment files,
+then a batch marker recording each file's sha256 — so a campaign killed
+mid-run resumes when it is re-run into the same `store_dir`: covered
+batches are reused, only the rest is computed, and no flag is needed.
+A foreign or corrupt batch is recomputed, never trusted.  A memory-store
+campaign writes nothing to disk.  The layer has two halves:
 
-* **`repro.core.checkpoint`** — `ShardJournal` persists each shard's
-  `ShardResult` with an atomic write-temp → fsync → rename
-  (`atomic_write_bytes`), wrapped in an envelope stamped with
-  `CHECKPOINT_SCHEMA_VERSION`, the seed root, the config fingerprint,
-  and a digest of the shard plan.  `validate_for_resume` raises
-  `CheckpointError` when a journal belongs to a different campaign; an
-  unreadable or mis-stamped entry raises `CorruptShardError` and is
-  quarantined to `*.corrupt` rather than trusted.  A run-level
-  `journal.json` manifest records status
-  (`running`/`complete`/`partial`/`failed`), per-shard attempt history,
-  and missing personas.
+* **`repro.core.checkpoint`** — the publishing primitives every durable
+  file goes through: `atomic_write_bytes` (write-temp → fsync → rename
+  → parent-dir fsync), `fsync_dir`, and `quarantine_path` (move a
+  corrupt artifact to `*.corrupt`, never delete it).
 * **The shard supervisor** (`repro.core.parallel`) — each worker
   sends its result (or traceback) over its own pipe, and the supervisor
   waits on the pipes: EOF without a message is a crash, bytes that do
-  not unpickle are a poisoned result.  Only with `checkpoint_dir` does
-  the supervisor write the journal (never the workers).  It
+  not unpickle are a poisoned result.  The supervisor writes nothing to
+  disk; segment workers publish their own batches.  It
   restarts crashed workers with a bounded retry budget
   (`max_shard_retries`), and reaps workers hung past a **wall-clock**
   `shard_timeout` (a stuck simulated clock cannot fool the watchdog).
   `SupervisorPolicy` bundles the knobs; `on_shard_failure` picks what
   happens when a shard exhausts its budget: `"retry"` (default —
   raises `ShardFailure` after the budget), `"degrade"` (completes
-  without the lost personas, recorded in `dataset.missing_personas`,
-  the run manifest, and `supervisor.*` counters), or `"raise"` (aborts
-  on first failure).
+  without the lost personas, recorded in `dataset.missing_personas` or
+  the store manifest, the run manifest, and `supervisor.*` counters),
+  or `"raise"` (aborts on first failure).
 
-`run_campaign(..., parallel=True, checkpoint_dir=DIR)` turns on durable
-checkpointing; `resume=True` loads completed shards and computes only
-the rest.  From the CLI: `python -m repro run --parallel
---checkpoint-dir DIR [--resume] [--on-shard-failure MODE]
-[--shard-timeout SECONDS]`.  Because shard artifacts are
+From the CLI: `python -m repro run --parallel --store segments
+--store-dir DIR [--on-shard-failure MODE] [--shard-timeout SECONDS]`,
+re-run unchanged after a crash.  Because persona artifacts are
 seed-deterministic, a resumed run's exports are **byte-identical** to
 an uninterrupted run's, under healthy and mild-faulted networks
-(`tests/integration/test_resume_determinism.py`; CI's
-`chaos-smoke` job kills a worker for real and diffs).  The manifest
-schema (v3) records `shard_attempts`, `missing_personas`, `resumed`,
-and `checkpointed`.
+(`tests/integration/test_resume_determinism.py` SIGKILLs a 4-worker
+campaign mid-run; CI's `chaos-smoke` job crashes a worker, resumes
+through the CLI and diffs).  The run manifest (schema 4) records
+`shard_attempts` and `missing_personas`; schema 4 dropped the
+`cache_hit`, `resumed` and `checkpointed` fields and the `"cached"`
+entrypoint of the removed dataset cache and shard journal.
 
 Recovery is testable on demand: `WorkerFaultPlan` injects worker-level
 faults (`WORKER_FAULT_KINDS`: `crash`, `hang`, `poison`) either at
@@ -450,17 +462,11 @@ none of it moves an exported byte
   world); `analyze_traffic` classifies each distinct domain and
   `(org, vendor)` pair once.  Repeat lookups the caches absorbed are
   counted as `analysis.domain_cache_hits`.  Both caches are always on.
-* **Copy-on-read cache** — `DatasetCache.read(seed_root, config,
-  copy=True)` replaces `get_or_run` (which survives as a deep-copy
-  alias).  `copy=False` aliases the cached instance for read-only
-  consumers — `run_campaign(..., cache=True, cache_copy=False)` and the
-  CLI's `--cache` flag use it.  The benchmark session dataset never
-  reads the cache (its key holds no code digest).
-  `CACHE_SCHEMA_VERSION` is 5 (`AuditDataset` gained
-  `missing_personas`); older pickles are recomputed, and a corrupt
-  entry is quarantined to `*.corrupt` with a warning and treated as a
-  miss (sharing `repro.core.checkpoint.atomic_write_bytes` on the
-  write side).
+* **No dataset cache** — a memory-store campaign is computed afresh
+  on every call, so a model change can never hide behind a warm cache
+  (the pickle `DatasetCache`, whose key held no code digest, was
+  removed).  Reuse across runs is the segment store's: re-running a
+  `(seed, config)` into the same store skips covered personas.
 * **Exact gates** — tier-1 pins the fast paths with deterministic
   counts instead of speedup ratios:
   `test_pipeline_equivalence.py::test_obs_counters_present` checks
@@ -527,7 +533,7 @@ one entrypoint used by the CLI, the service, tests, and benchmarks.
 |---|---|
 | `run_experiment(seed, config)` | `run_campaign(config, seed)` |
 | `run_parallel_experiment(seed, config, workers=4, backend="process")` | `run_campaign(config, seed, parallel=True, workers=4)` |
-| `run_cached_experiment(seed_root, config)` | `run_campaign(config, seed_root, cache=True)` |
+| `run_cached_experiment(seed_root, config)` | `run_segment_campaign(config, seed_root, store_dir=DIR)` (the dataset cache is gone; a segment store is reused across runs) |
 
 Note the argument order: `run_campaign` takes `(config, seed)` — config
 first, matching how call sites are usually parameterized — and
@@ -546,8 +552,7 @@ dataset = run_campaign(spec)            # Python API
 campaign; derive variants with `spec.replace(workers=8)`.  The kwargs
 form `run_campaign(config, seed, ...)` remains supported as a shim that
 builds the spec internally and also accepts the non-serializable
-runtime companions (`obs=` collector, `cache=` instance,
-`worker_faults=`).
+runtime companions (`obs=` collector, `worker_faults=`).
 """
 
 

@@ -15,11 +15,12 @@ Commands
 ``version``    print the package version
 
 Every campaign-running command shares one flag set (``--seed``,
-``--small``, ``--parallel``, ``--workers``, ``--faults``, ``--cache``,
-``--quiet``, ``--trace-out``, ``--metrics-out``) and goes through
+``--small``, ``--parallel``, ``--workers``, ``--faults``, ``--quiet``,
+``--trace-out``, ``--metrics-out``) and goes through
 :func:`repro.core.run_campaign`.  ``run`` additionally exposes the
-crash-safety knobs (``--checkpoint-dir``, ``--resume``,
-``--on-shard-failure``, ``--shard-timeout``) and accepts a serialized
+segment store (``--store``, ``--store-dir``: a killed run resumes from
+the store's covered batches), the supervisor knobs
+(``--on-shard-failure``, ``--shard-timeout``) and accepts a serialized
 :class:`~repro.core.campaign.CampaignSpec` via ``--spec`` — the same
 document the HTTP service takes, so ``repro run --spec`` and an HTTP
 submission of the same file export byte-identical directories.  Output
@@ -112,22 +113,6 @@ def _campaign_parent(common: argparse.ArgumentParser) -> argparse.ArgumentParser
         "(e.g. 0.05); seeded and deterministic, see repro.netsim.faults",
     )
     parent.add_argument(
-        "--storage-faults",
-        metavar="PROFILE",
-        default="none",
-        help="storage fault profile: none|mild|harsh or a float rate; "
-        "seeded, deterministic I/O fault injection on every durable "
-        "write/read path, see repro.core.iosim.  Harness-level: exports "
-        "stay byte-identical to a fault-free run",
-    )
-    parent.add_argument(
-        "--cache",
-        action="store_true",
-        help="serve the campaign from the on-disk dataset cache, computing "
-        "and storing it on first use; the CLI only reads the dataset, so "
-        "the cached instance is aliased without a deep copy",
-    )
-    parent.add_argument(
         "--trace-out",
         metavar="PATH",
         default=None,
@@ -174,6 +159,16 @@ def build_parser() -> argparse.ArgumentParser:
         "exports are byte-identical either way",
     )
     run.add_argument(
+        "--storage-faults",
+        metavar="PROFILE",
+        default="none",
+        help="storage fault profile for --store segments: none|mild|harsh "
+        "or a float rate; seeded, deterministic I/O fault injection on "
+        "every durable write/read path, see repro.core.iosim (the memory "
+        "store writes nothing).  Harness-level: exports stay "
+        "byte-identical to a fault-free run",
+    )
+    run.add_argument(
         "--store-dir",
         metavar="DIR",
         default=None,
@@ -189,20 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="replicate each interest persona N times (controls are "
         "never replicated): roster grows from 13 to 9*N+4 personas; "
         "large scales should use --store segments",
-    )
-    run.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        default=None,
-        help="journal completed persona shards to DIR (requires --parallel); "
-        "a killed run can be resumed from it with --resume",
-    )
-    run.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume from the checkpoint journal in --checkpoint-dir instead "
-        "of recomputing completed shards; exports are byte-identical to an "
-        "uninterrupted run of the same seed/config",
     )
     run.add_argument(
         "--on-shard-failure",
@@ -227,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--root",
         default="audit-jobs",
-        help="service state directory (jobs, checkpoints, exports); "
+        help="service state directory (jobs, segment stores, exports); "
         "restarting with the same root recovers in-flight jobs",
     )
     serve.add_argument("--host", default="127.0.0.1")
@@ -262,21 +243,20 @@ def build_parser() -> argparse.ArgumentParser:
     fsck = sub.add_parser(
         "fsck",
         parents=[common],
-        help="cold integrity audit of a segment store, checkpoint "
-        "journal, or service job tree",
+        help="cold integrity audit of a segment store or service job tree",
     )
     fsck.add_argument(
         "path",
         metavar="DIR",
         help="artifact tree to audit (auto-detected: segment store / "
-        "campaign dir / checkpoint journal / job tree)",
+        "campaign dir / job tree)",
     )
     fsck.add_argument(
         "--repair",
         action="store_true",
         help="apply repairs: rebuild sidecar indexes, drop stale digest "
-        "caches, re-stamp recoverable journal manifests, truncate torn "
-        "event-log tails, quarantine corrupt artifacts to *.corrupt",
+        "caches, truncate torn event-log tails, quarantine corrupt "
+        "artifacts to *.corrupt",
     )
     fsck.add_argument(
         "--out",
@@ -421,16 +401,11 @@ def _resolve_config(args, config: Optional[ExperimentConfig] = None):
 def _run_campaign_from_args(args, config: Optional[ExperimentConfig] = None):
     """One code path from parsed flags to a campaign dataset."""
     config = _resolve_config(args, config)
-    use_cache = getattr(args, "cache", False)
     dataset = repro.run_campaign(
         config,
         args.seed,
         parallel=args.parallel,
         workers=args.workers if args.parallel else None,
-        cache=True if use_cache else None,
-        cache_copy=not use_cache,
-        checkpoint_dir=getattr(args, "checkpoint_dir", None),
-        resume=getattr(args, "resume", False),
         on_shard_failure=getattr(args, "on_shard_failure", "retry"),
         shard_timeout=getattr(args, "shard_timeout", None),
     )
@@ -465,9 +440,6 @@ def _spec_from_run_args(args) -> Optional[CampaignSpec]:
         incompatible = [
             flag
             for flag, active in (
-                ("--cache", args.cache),
-                ("--resume", args.resume),
-                ("--checkpoint-dir", args.checkpoint_dir is not None),
                 ("--trace-out", args.trace_out is not None),
                 ("--metrics-out", args.metrics_out is not None),
             )
@@ -475,9 +447,8 @@ def _spec_from_run_args(args) -> Optional[CampaignSpec]:
         ]
         if incompatible:
             _LOG.warning(
-                "%s do(es) not apply to --store segments: the store's "
-                "content-addressed batches already provide reuse and resume, "
-                "and segment workers do not trace",
+                "%s do(es) not apply to --store segments: segment workers "
+                "do not trace",
                 ", ".join(incompatible),
             )
             return None
@@ -493,21 +464,11 @@ def _spec_from_run_args(args) -> Optional[CampaignSpec]:
         )
     if args.store_dir is not None:
         _LOG.warning("--store-dir is ignored without --store segments")
-    cache_root = None
-    if args.cache:
-        from repro.core.cache import DatasetCache
-
-        cache_root = str(DatasetCache().root)
     return repro.CampaignSpec(
         config=_resolve_config(args),
         seed=args.seed,
         parallel=args.parallel,
         workers=args.workers if args.parallel else None,
-        # the CLI only reads the dataset, so a cache hit is aliased
-        cache=cache_root,
-        cache_copy=not args.cache,
-        checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
         on_shard_failure=args.on_shard_failure,
         shard_timeout=args.shard_timeout,
     )
@@ -536,12 +497,9 @@ def _cmd_run(args) -> int:
                 ("--small", args.small),
                 ("--parallel", args.parallel),
                 ("--faults", args.faults != "none"),
-                ("--cache", args.cache),
                 ("--store", args.store != "memory"),
                 ("--store-dir", args.store_dir is not None),
                 ("--roster-scale", args.roster_scale != 1),
-                ("--checkpoint-dir", args.checkpoint_dir is not None),
-                ("--resume", args.resume),
                 ("--on-shard-failure", args.on_shard_failure != "retry"),
                 ("--shard-timeout", args.shard_timeout is not None),
             )
@@ -559,6 +517,20 @@ def _cmd_run(args) -> int:
         spec = _spec_from_run_args(args)
     if spec is None:
         return 2
+    if args.storage_faults != "none":
+        if spec.store != "segments":
+            _LOG.warning(
+                "--storage-faults needs --store segments: the memory store "
+                "writes nothing, so there is no storage to fault"
+            )
+            return 2
+        # Harness-level, not campaign-shaping: the plan lives in the
+        # process (and, via propagate, in spawned workers), never in the
+        # spec — which is why it composes with --spec and never touches
+        # the config fingerprint.
+        from repro.core.iosim import install_storage_faults
+
+        install_storage_faults(args.storage_faults, seed=args.seed, propagate=True)
     counts, result = repro.execute_spec(spec, args.out)
     _LOG.info("%s", render_kv(counts, title=f"exported to {args.out}/"))
     if spec.store == "segments":
@@ -948,18 +920,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "version":
         _LOG.info("%s", __version__)
         return 0
-    if getattr(args, "storage_faults", "none") != "none":
-        # Harness-level, not campaign-shaping: the plan lives in the
-        # process (and, via propagate, in spawned workers), never in the
-        # spec — which is why it composes with --spec and never touches
-        # the config fingerprint.
-        from repro.core.iosim import install_storage_faults
-
-        install_storage_faults(
-            args.storage_faults,
-            seed=getattr(args, "seed", 42),
-            propagate=True,
-        )
     handlers = {
         "run": _cmd_run,
         "timeline": _cmd_timeline,

@@ -9,7 +9,7 @@ shared observability story.  ``run_campaign`` collapsed them behind one
 signature, and then accreted thirteen keyword arguments that could not
 cross a process boundary.  :class:`CampaignSpec` is the redesign: one
 frozen, validated, JSON-round-trippable object holding *everything* that
-defines a campaign execution — config, seed, worker topology, cache,
+defines a campaign execution — config, seed, worker topology,
 observability, crash-safety knobs, and store selection — shared verbatim
 by the Python API, the CLI, and the HTTP service
 (:mod:`repro.service`)::
@@ -25,7 +25,6 @@ delegates::
 
     dataset = run_campaign(config, seed)                     # serial
     dataset = run_campaign(config, seed, parallel=True, workers=4)  # sharded
-    dataset = run_campaign(config, seed, cache=True)         # cached
 
 Observability is on by default: every run traces into an
 :class:`~repro.obs.ObsCollector` (spans, counters, events, manifest)
@@ -54,6 +53,7 @@ from repro.core.experiment import (
     AuditDataset,
     ExperimentConfig,
     _run_serial_experiment,
+    config_fingerprint,
 )
 from repro.core.personas import scaled_roster
 from repro.obs import NULL_OBS, ObsCollector, RunManifest
@@ -96,6 +96,16 @@ ON_SHARD_FAILURE = ("retry", "degrade", "raise")
 #: Default worker count when ``parallel=True`` and ``workers`` is unset.
 _DEFAULT_WORKERS = 2
 
+#: Spec-schema-1 fields of the removed dataset cache and shard
+#: checkpoint journal, with the only value each still accepts.  The
+#: segment store replaces both: its covered batches are reuse and resume.
+_RETIRED_FIELDS = {
+    "cache": None,
+    "cache_copy": True,
+    "checkpoint_dir": None,
+    "resume": False,
+}
+
 
 def _resolve_seed(seed: Union[int, Seed]) -> Seed:
     if isinstance(seed, Seed):
@@ -118,25 +128,6 @@ def _resolve_obs(obs: Union[None, bool, ObsCollector]):
     )
 
 
-def _resolve_cache(cache):
-    """``None``/``False`` → off, ``True`` → default root, path → that root,
-    :class:`~repro.core.cache.DatasetCache` → as-is."""
-    from repro.core.cache import DatasetCache
-
-    if cache is None or cache is False:
-        return None
-    if cache is True:
-        return DatasetCache()
-    if isinstance(cache, (str, Path)):
-        return DatasetCache(Path(cache))
-    if isinstance(cache, DatasetCache):
-        return cache
-    raise TypeError(
-        "cache must be None, a bool, a path, or a DatasetCache, got "
-        f"{type(cache).__name__}"
-    )
-
-
 # ---------------------------------------------------------------------- #
 # CampaignSpec
 # ---------------------------------------------------------------------- #
@@ -149,7 +140,7 @@ class CampaignSpec:
     Every field is a JSON scalar, a nested :class:`ExperimentConfig`, or
     ``None`` — ``CampaignSpec.from_json(spec.to_json())`` round-trips
     exactly, and :meth:`fingerprint` is a stable identity usable as a
-    cache/job key across processes and machines.  Validation happens at
+    job key across processes and machines.  Validation happens at
     construction (``__post_init__``), so an invalid spec can never be
     submitted, scheduled, or executed: the CLI, the Python API, and the
     HTTP body all fail with the same message.
@@ -174,19 +165,19 @@ class CampaignSpec:
     #: value; the field stays because it is part of the schema-1 JSON
     #: form and of every spec fingerprint.
     backend: str = "process"
-    #: Dataset-cache root directory, or ``None`` for no cache.  Serial
-    #: memory-store campaigns only.
+    #: Retired with the dataset cache: accepts only ``None``.  The field
+    #: stays because it is part of the schema-1 JSON form and of every
+    #: spec fingerprint (as do ``cache_copy``, ``checkpoint_dir`` and
+    #: ``resume``; see ``_RETIRED_FIELDS``).
     cache: Optional[str] = None
-    #: On a cache hit, deep-copy (``True``) or alias (``False``) the
-    #: cached dataset.  ``False`` requires ``cache``.
+    #: Retired with the dataset cache: accepts only ``True``.
     cache_copy: bool = True
     #: Collect the observability trace (``dataset.obs``).  Memory store
     #: only; segment-store workers never trace.
     obs: bool = True
-    #: Durable shard-journal directory (parallel memory store only).
+    #: Retired with the shard checkpoint journal: accepts only ``None``.
     checkpoint_dir: Optional[str] = None
-    #: Load valid checkpointed shards from ``checkpoint_dir`` instead of
-    #: recomputing them.
+    #: Retired with the shard checkpoint journal: accepts only ``False``.
     resume: bool = False
     #: Supervisor policy when a shard exhausts its attempts:
     #: ``"retry"`` / ``"degrade"`` / ``"raise"``.
@@ -219,6 +210,20 @@ class CampaignSpec:
                 "are always forked processes (the thread backend was "
                 "removed) — omit backend or set it to \"process\", or run "
                 "with parallel=False"
+            )
+        retired = [
+            name
+            for name, default in _RETIRED_FIELDS.items()
+            if getattr(self, name) != default
+        ]
+        if retired:
+            raise ValueError(
+                f"retired spec field(s) {', '.join(retired)}: the dataset "
+                "cache and the shard checkpoint journal were removed — for "
+                'reuse and crash-safe resume, set store: "segments" plus '
+                "store_dir (a rerun resumes from the store's covered "
+                "batches), and leave cache, cache_copy, checkpoint_dir and "
+                "resume unset"
             )
         if self.parallel and not hasattr(os, "fork"):
             raise ValueError(
@@ -255,8 +260,6 @@ class CampaignSpec:
             )
         if not self.parallel:
             supervisor_knobs = {
-                "checkpoint_dir": (self.checkpoint_dir, None),
-                "resume": (self.resume, False),
                 "on_shard_failure": (self.on_shard_failure, "retry"),
                 "shard_timeout": (self.shard_timeout, None),
                 "max_shard_retries": (self.max_shard_retries, 2),
@@ -269,45 +272,15 @@ class CampaignSpec:
             if offending:
                 raise ValueError(
                     f"{', '.join(offending)} require(s) parallel=True — the "
-                    "checkpoint journal and shard supervisor only exist for "
-                    "sharded runs"
+                    "shard supervisor only exists for sharded runs"
                 )
-        if self.resume and self.checkpoint_dir is None:
-            raise ValueError("resume=True requires checkpoint_dir=...")
-        if not self.cache_copy and self.cache is None:
-            raise ValueError("cache_copy=False requires cache=...")
-        if self.parallel and self.cache is not None:
-            raise ValueError(
-                "cache=... is mutually exclusive with parallel=True; the cache "
-                "stores serial campaigns (a cached parallel run would never "
-                "exercise the shard merge it exists to verify)"
-            )
-        if self.store == "segments":
-            offending = [
-                name
-                for name, active in (
-                    ("cache", self.cache is not None),
-                    ("checkpoint_dir", self.checkpoint_dir is not None),
-                    ("resume", self.resume),
-                )
-                if active
-            ]
-            if offending:
-                raise ValueError(
-                    f"{', '.join(offending)} do(es) not apply to "
-                    "store='segments': the store's content-addressed batches "
-                    "already provide reuse and resume"
-                )
-        elif self.batch_personas != 1:
+        if self.store != "segments" and self.batch_personas != 1:
             raise ValueError("batch_personas requires store='segments'")
-        for name in ("cache", "checkpoint_dir", "store_dir"):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, str):
-                raise TypeError(
-                    f"{name} must be a string path or None in a CampaignSpec, "
-                    f"got {type(value).__name__} (the kwargs form of "
-                    "run_campaign accepts Path/DatasetCache objects)"
-                )
+        if self.store_dir is not None and not isinstance(self.store_dir, str):
+            raise TypeError(
+                "store_dir must be a string path or None in a CampaignSpec, "
+                f"got {type(self.store_dir).__name__}"
+            )
 
     # ------------------------------------------------------------------ #
     # Serialization
@@ -400,11 +373,7 @@ def run_campaign(
     *,
     parallel: bool = False,
     workers: Optional[int] = None,
-    cache=None,
-    cache_copy: bool = True,
     obs: Union[None, bool, ObsCollector] = None,
-    checkpoint_dir: Union[None, str, Path] = None,
-    resume: bool = False,
     on_shard_failure: str = "retry",
     shard_timeout: Optional[float] = None,
     max_shard_retries: int = 2,
@@ -428,15 +397,7 @@ def run_campaign(
 
     obs:
         ``None``/``True``/``False`` map onto ``spec.obs``; an existing
-        :class:`~repro.obs.ObsCollector` traces into it (serial/cached
-        only).
-    cache:
-        ``True`` → the default cache root, a path → that root, or a live
-        :class:`~repro.core.cache.DatasetCache` instance.
-    cache_copy:
-        On a cache hit, ``True`` (default) returns an independent deep
-        copy; ``False`` aliases the cached instance (read-only
-        consumers).
+        :class:`~repro.obs.ObsCollector` traces into it (serial only).
     worker_faults:
         Seeded :class:`~repro.core.parallel.WorkerFaultPlan` injecting
         worker-level crash/hang/poison faults (tests, chaos CI).  Never
@@ -449,11 +410,7 @@ def run_campaign(
             "seed": (seed, 42),
             "parallel": (parallel, False),
             "workers": (workers, None),
-            "cache": (cache, None),
-            "cache_copy": (cache_copy, True),
             "obs": (obs, None),
-            "checkpoint_dir": (checkpoint_dir, None),
-            "resume": (resume, False),
             "on_shard_failure": (on_shard_failure, "retry"),
             "shard_timeout": (shard_timeout, None),
             "max_shard_retries": (max_shard_retries, 2),
@@ -473,7 +430,6 @@ def run_campaign(
     if config is None:
         config = ExperimentConfig()
     seed_obj = _resolve_seed(seed)
-    cache_store = _resolve_cache(cache)
     if obs is not None and not isinstance(obs, (bool, ObsCollector)):
         raise TypeError(
             f"obs must be None, a bool, or an ObsCollector, got {type(obs).__name__}"
@@ -486,33 +442,22 @@ def run_campaign(
         seed=seed_obj.root,
         parallel=parallel,
         workers=workers,
-        cache=None if cache_store is None else str(cache_store.root),
-        cache_copy=cache_copy,
         obs=obs is not False,
-        checkpoint_dir=None if checkpoint_dir is None else str(checkpoint_dir),
-        resume=resume,
         on_shard_failure=on_shard_failure,
         shard_timeout=shard_timeout,
         max_shard_retries=max_shard_retries,
     )
-    return _execute(
-        spec,
-        obs_override=obs_override,
-        cache_override=cache_store,
-        worker_faults=worker_faults,
-    )
+    return _execute(spec, obs_override=obs_override, worker_faults=worker_faults)
 
 
 def _execute(
     spec: CampaignSpec,
     *,
     obs_override: Optional[ObsCollector] = None,
-    cache_override=None,
     worker_faults: Optional[WorkerFaultPlan] = None,
 ):
     """Execute a validated spec (plus runtime-only companions)."""
     from repro import __version__
-    from repro.core.cache import config_fingerprint
 
     if spec.store == "segments":
         if spec.store_dir is None:
@@ -537,9 +482,6 @@ def _execute(
     config = spec.config
     seed = Seed(spec.seed)
     collector = obs_override if obs_override is not None else _resolve_obs(spec.obs)
-    cache_store = (
-        cache_override if cache_override is not None else _resolve_cache(spec.cache)
-    )
     if spec.parallel and obs_override is not None:
         raise ValueError(
             "cannot trace a parallel run into a caller-supplied collector; "
@@ -568,8 +510,6 @@ def _execute(
             config,
             workers=n_workers,
             collect_obs=collector.enabled,
-            checkpoint_dir=spec.checkpoint_dir,
-            resume=spec.resume,
             policy=policy,
         )
         shards = tuple(
@@ -590,24 +530,6 @@ def _execute(
                 for index in range(len(shards))
             ),
             missing_personas=report.missing_personas,
-            resumed=spec.resume,
-            checkpointed=spec.checkpoint_dir is not None,
-        )
-    elif cache_store is not None:
-        dataset = cache_store.read(
-            seed.root,
-            config,
-            copy=spec.cache_copy,
-            compute=lambda: _run_serial_experiment(seed, config, obs=collector),
-        )
-        manifest = RunManifest(
-            seed_root=seed.root,
-            config_fingerprint=fingerprint,
-            entrypoint="cached",
-            shards=(roster,),
-            cache_hit=cache_store.last_hit,
-            package_version=__version__,
-            fault_profile=config.fault_profile,
         )
     else:
         dataset = _run_serial_experiment(seed, config, obs=collector)
@@ -621,14 +543,6 @@ def _execute(
         )
 
     if dataset.obs is not None:
-        from repro.core.iosim import current_storage_faults
-
-        plan = current_storage_faults()
-        if plan is not None:
-            # Fold the storage fault accounting into the run's trace so
-            # `--metrics-out` and the service events surface it.
-            for name, value in plan.snapshot().items():
-                dataset.obs.inc(name, value)
         manifest.phase_real_seconds = {
             name: seconds
             for name, seconds in dataset.timings.items()
@@ -693,11 +607,11 @@ def run_segment_campaign(
     :func:`repro.core.export.export_segment_store`; for the same seed
     and config the files are byte-identical to the in-memory path's.
 
-    Coverage is content-addressed per batch, which subsumes the
-    dataset cache and the shard checkpoint journal at once: re-running
-    the same ``(seed, config)`` skips covered personas (reuse), and a
-    killed campaign — serial or parallel — resumes from its completed
-    batches without any extra flags.
+    Coverage is content-addressed per batch, and it is the campaign's
+    only durable state: re-running the same ``(seed, config)`` skips
+    covered personas (reuse), and a killed campaign — serial or
+    parallel — resumes from its completed batches without any extra
+    flags.
 
     With ``parallel=True`` the roster is sharded under the same
     supervisor as :func:`run_campaign` (``on_shard_failure`` /
@@ -710,7 +624,6 @@ def run_segment_campaign(
     manifest status is ``"complete"``, or ``"partial"`` when a degraded
     parallel run dropped personas.
     """
-    from repro.core.cache import config_fingerprint
     from repro.core.iosim import current_storage_faults
     from repro.core.segments import SegmentStore
 
@@ -746,8 +659,8 @@ def run_segment_campaign(
         extras["missing_personas"] = sorted(missing)
     plan = current_storage_faults()
     if plan is not None and plan.snapshot():
-        # Segment workers never trace, so the manifest carries the
-        # storage fault accounting the memory path puts on dataset.obs.
+        # Segment workers never trace, so the store manifest carries the
+        # storage fault accounting.
         extras["storage"] = plan.summary()
     store.write_manifest("partial" if missing else "complete", extras or None)
     return store

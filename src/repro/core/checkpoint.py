@@ -1,83 +1,35 @@
-"""Crash-safe shard checkpoint journal.
+"""Crash-safe publishing primitives for every durable artifact.
 
-The paper's measurement campaign ran for months against live
-infrastructure, where partial failure — a crawler OOM, a hung vantage
-point, a killed process — is the normal case.  The reproduction's
-parallel runner originally shared that fragility: one lost worker
-discarded every completed persona shard.  This module is the optional
-durability layer of the shard supervisor (:mod:`repro.core.parallel`):
-when a campaign runs with ``checkpoint_dir``, the supervisor writes each
-completed :class:`~repro.core.parallel.ShardResult` it received from a
-worker to an on-disk **journal** keyed by seed root, config fingerprint,
-and the shard plan, so a campaign killed mid-run resumes from its
-completed shards and — because shard artifacts are seed-deterministic —
-produces exports byte-identical to an uninterrupted run.  Only the
-supervisor's process writes the journal, and only when checkpointing:
-workers send their results over pipes, and a run without
-``checkpoint_dir`` writes no journal at all.
+The segment store (:mod:`repro.core.segments`), the service job tree
+(:mod:`repro.service.jobs`) and ``fsck`` (:mod:`repro.core.fsck`) all
+write through this module, so one set of rules holds for every file a
+campaign leaves on disk:
 
-Durability rules:
+* **Atomic publish.**  :func:`atomic_write_bytes` writes a temp file,
+  flushes and fsyncs it, renames it over the target, then fsyncs the
+  directory.  A crash mid-write never leaves a half-written file at
+  a live name.
+* **Quarantine, never delete.**  :func:`quarantine_path` moves a
+  corrupt artifact to ``<name>.corrupt`` so the evidence survives and
+  the next run recomputes the lost work.
 
-* **Atomic publish.**  Every journal write goes through
-  :func:`atomic_write_bytes` (write temp → flush → ``fsync`` →
-  ``os.replace``), so a crash mid-write never leaves a half-written
-  payload at a journal key.  The same helper backs the dataset cache
-  (:mod:`repro.core.cache`).
-* **Schema-stamped entries.**  Each shard payload records the journal
-  schema version, the seed root, the config fingerprint, the shard-plan
-  digest, and the shard's persona names.  A stale or foreign entry —
-  different campaign, different plan, older schema — never resumes; it
-  raises :class:`CorruptShardError` and the supervisor quarantines it
-  (rename to ``*.corrupt``) and recomputes.
-* **Run-level manifest.**  ``journal.json`` records the journal key,
-  the shard plan, per-shard attempt history, and the final status
-  (``complete`` / ``partial`` / ``failed``), so an operator — or a CI
-  chaos job — can audit what a crashed run left behind.
+:func:`atomic_write_bytes` is also the storage fault seam for writes
+(:mod:`repro.core.iosim`), and the traced end-to-end benchmark counts
+its calls and fsyncs as ``core.checkpoint.*``.
 """
 
 from __future__ import annotations
 
 import errno
-import hashlib
-import json
 import os
-import pickle
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Optional, Union
 
-from repro.core.iosim import (
-    WRITE_KINDS,
-    current_storage_faults,
-    read_bytes as _seam_read_bytes,
-    run_with_retries,
-)
+from repro.core.iosim import WRITE_KINDS, current_storage_faults, run_with_retries
 
-__all__ = [
-    "CHECKPOINT_SCHEMA_VERSION",
-    "CheckpointError",
-    "CorruptShardError",
-    "ShardJournal",
-    "atomic_write_bytes",
-    "fsync_dir",
-    "quarantine_path",
-    "shard_plan_digest",
-]
-
-#: Bump whenever the journal payload layout changes shape; stale entries
-#: fail validation and are recomputed rather than resumed.
-CHECKPOINT_SCHEMA_VERSION = 1
-
-_MANIFEST_NAME = "journal.json"
-
-
-class CheckpointError(RuntimeError):
-    """The journal cannot serve this run (missing or mismatched key)."""
-
-
-class CorruptShardError(CheckpointError):
-    """A journal entry exists but is unreadable or fails validation."""
+__all__ = ["atomic_write_bytes", "fsync_dir", "quarantine_path"]
 
 
 def fsync_dir(path: Union[str, Path]) -> None:
@@ -165,7 +117,7 @@ def atomic_write_bytes(
 
     A reader can never observe a partial file at ``path`` — it sees
     either the previous content or the full new content.  The ``fsync``
-    before the rename is what makes the journal crash-safe: without it a
+    before the rename is what makes the publish crash-safe: without it a
     power loss could publish a name pointing at unwritten blocks; the
     directory fsync after it is what keeps the published *name* from
     vanishing in the same crash.
@@ -208,258 +160,3 @@ def quarantine_path(path: Union[str, Path]) -> Optional[Path]:
     if plan is not None:
         plan.record("storage.quarantined")
     return target
-
-
-def shard_plan_digest(shard_plan: Sequence[Sequence[str]]) -> str:
-    """Stable digest of a shard plan (persona names per shard, in order)."""
-    payload = json.dumps([list(names) for names in shard_plan])
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
-class ShardJournal:
-    """Atomic per-shard result journal for one campaign execution.
-
-    A journal is bound to a **key**: ``(seed_root, config_fingerprint,
-    shard_plan)``.  Entries written under a different key never load —
-    resuming a journal against the wrong campaign raises instead of
-    silently merging foreign artifacts.
-    """
-
-    def __init__(
-        self,
-        root: Union[str, Path],
-        seed_root: int,
-        config_fingerprint: str,
-        shard_plan: Sequence[Sequence[str]],
-    ) -> None:
-        self.root = Path(root)
-        self.seed_root = seed_root
-        self.config_fingerprint = config_fingerprint
-        self.shard_plan: Tuple[Tuple[str, ...], ...] = tuple(
-            tuple(names) for names in shard_plan
-        )
-        if not self.shard_plan:
-            raise ValueError("shard plan must not be empty")
-        self.plan_digest = shard_plan_digest(self.shard_plan)
-
-    # ------------------------------------------------------------------ #
-    # Paths
-    # ------------------------------------------------------------------ #
-
-    def shard_path(self, shard_index: int) -> Path:
-        return self.root / f"shard-{shard_index:04d}.pkl"
-
-    def error_path(self, shard_index: int) -> Path:
-        return self.root / f"shard-{shard_index:04d}.error"
-
-    @property
-    def manifest_path(self) -> Path:
-        return self.root / _MANIFEST_NAME
-
-    # ------------------------------------------------------------------ #
-    # Shard entries
-    # ------------------------------------------------------------------ #
-
-    def write_shard(self, shard_index: int, result) -> Path:
-        """Atomically publish one completed shard's ``ShardResult``."""
-        self._check_index(shard_index)
-        payload = {
-            "schema": CHECKPOINT_SCHEMA_VERSION,
-            "seed_root": self.seed_root,
-            "config_fingerprint": self.config_fingerprint,
-            "plan_digest": self.plan_digest,
-            "shard_index": shard_index,
-            "persona_names": list(self.shard_plan[shard_index]),
-            "result": result,
-        }
-        path = self.shard_path(shard_index)
-        atomic_write_bytes(
-            path,
-            pickle.dumps(payload, pickle.HIGHEST_PROTOCOL),
-            component="checkpoint",
-            op="shard",
-        )
-        return path
-
-    def load_shard(self, shard_index: int):
-        """The checkpointed ``ShardResult``, or ``None`` when absent.
-
-        Raises :class:`CorruptShardError` when an entry exists but is
-        unreadable or stamped with a different schema version, campaign
-        key, or shard plan — the caller quarantines and recomputes.
-        """
-        self._check_index(shard_index)
-        path = self.shard_path(shard_index)
-        try:
-            # Corruptible seam read: a flipped bit fails the pickle load
-            # or envelope validation below, and the caller quarantines
-            # and recomputes — never silently resumes altered data.
-            raw = _seam_read_bytes(
-                path, component="checkpoint", op="shard", corruptible=True
-            )
-        except FileNotFoundError:
-            return None
-        try:
-            payload = pickle.loads(raw)
-        except Exception as exc:
-            raise CorruptShardError(
-                f"journal entry {path.name} is unreadable: {exc}"
-            ) from exc
-        if not isinstance(payload, dict):
-            raise CorruptShardError(
-                f"journal entry {path.name} has no payload envelope"
-            )
-        expected = {
-            "schema": CHECKPOINT_SCHEMA_VERSION,
-            "seed_root": self.seed_root,
-            "config_fingerprint": self.config_fingerprint,
-            "plan_digest": self.plan_digest,
-            "shard_index": shard_index,
-            "persona_names": list(self.shard_plan[shard_index]),
-        }
-        for field, want in expected.items():
-            got = payload.get(field)
-            if got != want:
-                raise CorruptShardError(
-                    f"journal entry {path.name} fails validation: "
-                    f"{field}={got!r}, expected {want!r}"
-                )
-        return payload["result"]
-
-    def write_corrupt(self, shard_index: int, data: bytes) -> Optional[Path]:
-        """Keep an unreadable worker message as ``*.pkl.corrupt``
-        evidence, under the name :meth:`quarantine` would give it.
-        Best-effort like quarantine: ``None`` when the write failed."""
-        path = self.shard_path(shard_index)
-        target = path.with_name(path.name + ".corrupt")
-        try:
-            atomic_write_bytes(target, data)
-        except OSError:
-            return None
-        return target
-
-    def has_entry(self, shard_index: int) -> bool:
-        return self.shard_path(shard_index).exists()
-
-    def quarantine(self, shard_index: int) -> Optional[Path]:
-        """Move a bad entry aside (``*.corrupt``) so a retry can publish."""
-        path = self.shard_path(shard_index)
-        if not path.exists():
-            return None
-        return quarantine_path(path)
-
-    def load_completed(self) -> Dict[int, object]:
-        """Every valid checkpointed shard, quarantining corrupt entries."""
-        completed: Dict[int, object] = {}
-        for index in range(len(self.shard_plan)):
-            try:
-                result = self.load_shard(index)
-            except CorruptShardError:
-                self.quarantine(index)
-                continue
-            if result is not None:
-                completed[index] = result
-        return completed
-
-    def reset(self) -> None:
-        """Drop every shard entry and error record (fresh run)."""
-        if not self.root.is_dir():
-            return
-        for pattern in ("shard-*.pkl", "shard-*.error", "shard-*.pkl.corrupt"):
-            for path in self.root.glob(pattern):
-                path.unlink(missing_ok=True)
-
-    # ------------------------------------------------------------------ #
-    # Worker error records
-    # ------------------------------------------------------------------ #
-
-    def write_error(self, shard_index: int, text: str) -> None:
-        atomic_write_bytes(
-            self.error_path(shard_index),
-            text.encode("utf-8"),
-            component="checkpoint",
-            op="error",
-        )
-
-    def read_error(self, shard_index: int) -> Optional[str]:
-        try:
-            return self.error_path(shard_index).read_text()
-        except (FileNotFoundError, OSError):
-            return None
-
-    # ------------------------------------------------------------------ #
-    # Run-level manifest
-    # ------------------------------------------------------------------ #
-
-    def write_manifest(
-        self,
-        *,
-        status: str,
-        attempts: Optional[Dict[int, List[str]]] = None,
-        missing_personas: Sequence[str] = (),
-        package_version: str = "",
-    ) -> None:
-        """Publish the run-level journal manifest (``journal.json``)."""
-        if status not in ("running", "complete", "partial", "failed"):
-            raise ValueError(f"invalid journal status: {status!r}")
-        payload = {
-            "schema": CHECKPOINT_SCHEMA_VERSION,
-            "seed_root": self.seed_root,
-            "config_fingerprint": self.config_fingerprint,
-            "plan_digest": self.plan_digest,
-            "shard_plan": [list(names) for names in self.shard_plan],
-            "status": status,
-            "attempts": {
-                str(index): list(outcomes)
-                for index, outcomes in sorted((attempts or {}).items())
-            },
-            "missing_personas": list(missing_personas),
-            "package_version": package_version,
-        }
-        atomic_write_bytes(
-            self.manifest_path,
-            (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"),
-            component="checkpoint",
-            op="manifest",
-        )
-
-    def read_manifest(self) -> Optional[Dict[str, object]]:
-        try:
-            return json.loads(self.manifest_path.read_text())
-        except FileNotFoundError:
-            return None
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CorruptShardError(
-                f"journal manifest {self.manifest_path} is unreadable: {exc}"
-            ) from exc
-
-    def validate_for_resume(self) -> Dict[str, object]:
-        """Check the on-disk manifest matches this run's journal key."""
-        manifest = self.read_manifest()
-        if manifest is None:
-            raise CheckpointError(
-                f"cannot resume: no journal manifest at {self.manifest_path}"
-            )
-        for field, want in (
-            ("schema", CHECKPOINT_SCHEMA_VERSION),
-            ("seed_root", self.seed_root),
-            ("config_fingerprint", self.config_fingerprint),
-            ("plan_digest", self.plan_digest),
-        ):
-            got = manifest.get(field)
-            if got != want:
-                raise CheckpointError(
-                    f"cannot resume: journal {field} is {got!r}, this run "
-                    f"expects {want!r} (same seed, config, and worker count "
-                    "are required to resume a checkpointed campaign)"
-                )
-        return manifest
-
-    # ------------------------------------------------------------------ #
-
-    def _check_index(self, shard_index: int) -> None:
-        if not 0 <= shard_index < len(self.shard_plan):
-            raise ValueError(
-                f"shard index {shard_index} outside plan of "
-                f"{len(self.shard_plan)} shards"
-            )

@@ -1,7 +1,7 @@
 """Deterministic storage fault injection and the hardened I/O seam.
 
-The campaign's durability story (the checkpoint journal, the
-content-addressed segment store, the service job tree) was built against
+The campaign's durability story (the content-addressed segment store,
+the service job tree) was built against
 crash faults — a worker dying between a temp write and a rename.  Weeks
 of continuous auditing add a different failure domain: disks fill up
 (``ENOSPC``), writes and fsyncs fail transiently (``EIO``), renames
@@ -24,8 +24,7 @@ established for network faults and
   of the same seed, independent of what other components are doing;
 * the seam itself is :func:`repro.core.checkpoint.atomic_write_bytes`
   plus the :func:`read_bytes` / :func:`read_text` helpers used by the
-  self-healing read paths (digest cache, sidecar indexes, checkpoint
-  shards, dataset cache).
+  self-healing read paths (digest cache, sidecar indexes).
 
 **Fault semantics.**  ``slow`` sleeps on the host wall clock (storage
 latency is real-world latency — it must never touch the simulated
@@ -42,15 +41,16 @@ semantics; the service parks the job as ``failed`` with
 ``reason="storage_exhausted"``).  ``corrupt_read`` flips one bit in
 the first bytes of the returned payload — injected **only** at read
 sites whose consumers fully re-validate (schema envelope, content
-digest, pickle load) and recover without changing outputs, which is
+digest) and recover without changing outputs, which is
 what keeps the determinism bar honest.
 
 **Counters.**  Every plan accumulates ``storage.*`` counters
 (thread-safe, process-local): ``storage.retries``,
 ``storage.retry_exhausted``, ``storage.enospc``,
 ``storage.quarantined``, and ``storage.faults.injected.<kind>``.
-Campaign runs fold a non-empty snapshot into ``dataset.obs`` (memory
-store) or the store manifest's ``storage`` block (segment store).
+A segment campaign writes a non-empty snapshot into the store
+manifest's ``storage`` block.  A memory-store campaign never touches
+storage, so there is nothing to fault or count.
 
 **Installation.**  A plan is a property of the harness, never of a
 :class:`~repro.core.campaign.CampaignSpec`: :func:`install_storage_faults`
@@ -202,8 +202,8 @@ class StorageFaultPlan(FaultDraw):
     """Seeded per-``(component, op)`` storage fault schedule.
 
     Every seam operation draws one decision from the stream named by
-    its component (``"checkpoint"``, ``"segments"``, ``"cache"``,
-    ``"jobs"``) and operation (``"shard"``, ``"segment"``, ``"marker"``,
+    its component (``"segments"``, ``"jobs"``, ``"fsck"``) and
+    operation (``"segment"``, ``"marker"``,
     ``"index"``, ``"digest-cache"``, ``"manifest"``, ``"state"``, …) off
     ``seed.derive("storage")``.  Because each pair owns an independent
     substream, a component's Nth operation of a kind gets the same
@@ -212,9 +212,7 @@ class StorageFaultPlan(FaultDraw):
 
     Thread-safe.  Counters (:meth:`snapshot`) are process-local — faults
     injected inside forked shard workers are counted in the worker, not
-    here.  Checkpoint-journal writes are made by the shard supervisor in
-    the parent process, so their counters always land in the parent's
-    plan; a worker counts only its own writes (segment batches).
+    here: a worker counts only its own writes (segment batches).
     """
 
     def __init__(self, seed: Seed, profile: StorageFaultProfile) -> None:
@@ -419,8 +417,8 @@ def is_enospc(exc: BaseException) -> bool:
 
 
 def is_enospc_text(text: str) -> bool:
-    """ENOSPC detection for error *records* (journal error files, job
-    failure messages) where only the formatted text survives."""
+    """ENOSPC detection for error *records* (supervisor failure details,
+    job failure messages) where only the formatted text survives."""
     return any(marker in text for marker in _ENOSPC_MARKERS)
 
 
@@ -433,7 +431,7 @@ def _corrupt(data: bytes, fraction: float) -> bytes:
     """Flip one bit in the first bytes of ``data``.
 
     The flip lands inside the first 16 bytes — always inside a JSON
-    document's structural prefix or a pickle's header — so every
+    document's structural prefix — so every
     consumer's envelope/schema validation deterministically rejects the
     payload and takes its recovery path, rather than silently absorbing
     an altered value.
@@ -499,8 +497,7 @@ def read_bytes(
     and — only when the caller marks the site ``corruptible`` —
     ``corrupt_read`` bit flips.  A site is corruptible only when its
     consumer fully re-validates the payload and recovers from rejection
-    without changing campaign outputs (digest cache, sidecar index,
-    checkpoint shard, dataset cache).  ``FileNotFoundError`` and other
+    without changing campaign outputs (digest cache, sidecar index).  ``FileNotFoundError`` and other
     non-transient errors propagate immediately: absence is a semantic
     result, not a fault.
     """

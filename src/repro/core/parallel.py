@@ -47,13 +47,11 @@ nearest wall-clock watchdog deadline passes:
 * a message that does not unpickle is **poisoned** — the shard is
   requeued.
 
-The disk is not part of that loop.  Only with ``checkpoint_dir`` does
-the supervisor keep a :class:`~repro.core.checkpoint.ShardJournal`: it
-writes each result there before it counts the shard ``ok``, an
-``.error`` record per failed attempt, a poisoned message's bytes as
-``shard-NNNN.pkl.corrupt`` evidence, and the run manifest.  Workers
-never write the journal, so a worker orphaned by a killed supervisor
-cannot touch it.
+The disk is not part of that loop: the supervisor writes nothing.  A
+campaign that must survive being killed runs on the segment store
+(:func:`~repro.core.campaign.run_segment_campaign`), where each worker
+publishes its batches as it goes and a rerun resumes from the store's
+coverage.
 
 What happens when a shard exhausts its attempts is the
 ``on_shard_failure`` policy: ``"retry"`` (default) raises
@@ -83,7 +81,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.campaign import BACKENDS, ON_SHARD_FAILURE
-from repro.core.checkpoint import ShardJournal
 from repro.core.experiment import (
     AuditDataset,
     ExperimentConfig,
@@ -437,11 +434,8 @@ class SupervisorReport:
     """What the supervisor did to get (or fail to get) every shard."""
 
     #: Outcome history per shard, in attempt order: ``"ok"``,
-    #: ``"crash"``, ``"hang"``, ``"poison"``, or ``"checkpoint"`` (the
-    #: shard was loaded from the journal on resume, no attempt made).
+    #: ``"crash"``, ``"hang"``, ``"poison"``, or ``"enospc-degrade"``.
     attempts: Dict[int, List[str]] = field(default_factory=dict)
-    #: Shards served from the checkpoint journal.
-    resumed_shards: Tuple[int, ...] = ()
     #: Shards dropped under ``on_shard_failure="degrade"``.
     failed_shards: Tuple[int, ...] = ()
     #: Personas of the failed shards, in plan order.
@@ -449,11 +443,8 @@ class SupervisorReport:
 
     @property
     def retries(self) -> int:
-        """Attempts beyond each shard's first (checkpoint loads excluded)."""
-        return sum(
-            max(0, len([o for o in outcomes if o != "checkpoint"]) - 1)
-            for outcomes in self.attempts.values()
-        )
+        """Attempts beyond each shard's first."""
+        return sum(max(0, len(outcomes) - 1) for outcomes in self.attempts.values())
 
     def outcome_count(self, kind: str) -> int:
         return sum(
@@ -569,10 +560,6 @@ class _ShardSupervisor:
     Each attempt sends its outcome over its own pipe, and the loop
     blocks in :func:`multiprocessing.connection.wait` on the live
     readers until one is ready or the nearest watchdog deadline passes.
-    With a ``journal`` (``checkpoint_dir`` set) the supervisor, and only
-    it, writes each result to the journal before counting the shard
-    ``ok``, an ``.error`` record per failed attempt, the poisoned bytes
-    as ``.corrupt`` evidence, and the run manifest.
     """
 
     def __init__(
@@ -584,7 +571,6 @@ class _ShardSupervisor:
         policy: SupervisorPolicy,
         *,
         shard_fn=_run_shard,
-        journal: Optional[ShardJournal] = None,
     ) -> None:
         self.shard_plan = [list(names) for names in shard_plan]
         self.seed = seed
@@ -592,7 +578,6 @@ class _ShardSupervisor:
         self.collect_obs = collect_obs
         self.policy = policy
         self.shard_fn = shard_fn
-        self.journal = journal
         self._active: Dict[int, _WorkerUnit] = {}
         self._outcomes: Dict[int, List[str]] = {
             index: [] for index in range(len(self.shard_plan))
@@ -601,56 +586,29 @@ class _ShardSupervisor:
 
     # ------------------------------------------------------------------ #
 
-    def run(
-        self, preloaded: Optional[Dict[int, ShardResult]] = None
-    ) -> Tuple[Dict[int, ShardResult], SupervisorReport]:
+    def run(self) -> Tuple[Dict[int, ShardResult], SupervisorReport]:
         from multiprocessing.connection import wait
 
         results: Dict[int, ShardResult] = {}
-        resumed: List[int] = []
-        for index, result in sorted((preloaded or {}).items()):
-            results[index] = result
-            self._outcomes[index].append("checkpoint")
-            resumed.append(index)
-
-        raising: Optional[BaseException] = None
         try:
             for index in range(len(self.shard_plan)):
-                if index not in results:
-                    self._spawn(index, attempt=1)
+                self._spawn(index, attempt=1)
             while self._active:
                 readers = {unit.reader: i for i, unit in self._active.items()}
                 ready = wait(list(readers), timeout=self._timeout())
                 for index in sorted(readers[conn] for conn in ready):
                     self._collect(index, results)
                 self._reap_overdue()
-        except BaseException as exc:
-            raising = exc
-            raise
         finally:
             for unit in self._active.values():
                 unit.reap()
             self._active.clear()
-            if self.journal is not None:
-                missing = self._missing_personas()
-                status = (
-                    "failed"
-                    if raising is not None
-                    else ("partial" if missing else "complete")
-                )
-                self.journal.write_manifest(
-                    status=status,
-                    attempts=self._outcomes,
-                    missing_personas=missing,
-                    package_version=_package_version(),
-                )
 
         report = SupervisorReport(
             attempts={
                 index: list(outcomes)
                 for index, outcomes in self._outcomes.items()
             },
-            resumed_shards=tuple(resumed),
             failed_shards=tuple(sorted(self._failed)),
             missing_personas=self._missing_personas(),
         )
@@ -709,19 +667,11 @@ class _ShardSupervisor:
         try:
             tag, payload = pickle.loads(message)
         except Exception as exc:
-            if self.journal is not None:
-                self.journal.write_corrupt(index, message)
             self._fail(index, "poison", f"worker sent an unreadable result: {exc!r}")
             return
         if tag == "error":
             self._fail(index, "crash", payload)
             return
-        if self.journal is not None:
-            try:
-                self.journal.write_shard(index, payload)
-            except OSError:
-                self._fail(index, "crash", traceback.format_exc())
-                return
         del self._active[index]
         self._outcomes[index].append("ok")
         results[index] = payload
@@ -744,11 +694,6 @@ class _ShardSupervisor:
 
         unit = self._active.pop(index)
         self._outcomes[index].append(kind)
-        if self.journal is not None:
-            try:
-                self.journal.write_error(index, detail)
-            except OSError:
-                pass
         attempts_used = unit.attempt
         budget = 1 + self.policy.max_shard_retries
         policy = self.policy.on_shard_failure
@@ -778,12 +723,6 @@ class _ShardSupervisor:
         )
 
 
-def _package_version() -> str:
-    from repro import __version__
-
-    return __version__
-
-
 # ---------------------------------------------------------------------- #
 # Engine
 # ---------------------------------------------------------------------- #
@@ -795,8 +734,6 @@ def _run_parallel_experiment(
     workers: int = 2,
     collect_obs: bool = False,
     *,
-    checkpoint_dir=None,
-    resume: bool = False,
     policy: Optional[SupervisorPolicy] = None,
 ) -> Tuple[AuditDataset, SupervisorReport]:
     """Run the campaign sharded by persona under the shard supervisor.
@@ -807,47 +744,21 @@ def _run_parallel_experiment(
     ``tests/integration/test_parallel_equivalence.py`` — and with
     ``collect_obs`` the merged trace's simulated-time span tree is
     byte-identical too (``tests/integration/test_obs_equivalence.py``).
-    With ``checkpoint_dir`` completed shards are journaled there (without
-    it nothing is written to disk); ``resume=True`` loads valid checkpointed
-    shards instead of recomputing them, which — shard artifacts being
-    seed-deterministic — keeps a killed-and-resumed campaign's exports
-    byte-identical to an uninterrupted run's
-    (``tests/integration/test_resume_determinism.py``).
+    Nothing is written to disk.
 
     Returns the merged dataset plus the :class:`SupervisorReport` of
-    attempt history, resumed shards, and dropped personas.
+    attempt history and dropped personas.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if resume and checkpoint_dir is None:
-        raise ValueError("resume=True requires checkpoint_dir")
     policy = policy if policy is not None else SupervisorPolicy()
-
-    from repro.core.cache import config_fingerprint
 
     started = time.perf_counter()
     shards = shard_personas(scaled_roster(config.roster_scale), workers)
     plan = [[p.name for p in shard] for shard in shards]
 
-    journal: Optional[ShardJournal] = None
-    preloaded: Dict[int, ShardResult] = {}
-    if checkpoint_dir is not None:
-        journal = ShardJournal(
-            checkpoint_dir, seed.root, config_fingerprint(config), plan
-        )
-        if resume:
-            journal.validate_for_resume()
-            preloaded = journal.load_completed()
-        else:
-            journal.reset()
-            journal.write_manifest(
-                status="running", package_version=_package_version()
-            )
-
-    supervisor = _ShardSupervisor(
-        plan, seed, config, collect_obs, policy, journal=journal
-    )
-    results, report = supervisor.run(preloaded)
+    supervisor = _ShardSupervisor(plan, seed, config, collect_obs, policy)
+    results, report = supervisor.run()
 
     scatter_elapsed = time.perf_counter() - started
     dataset = merge_shard_results(
@@ -871,7 +782,6 @@ def _run_parallel_experiment(
             ("supervisor.hangs_reaped", report.outcome_count("hang")),
             ("supervisor.poisoned_results", report.outcome_count("poison")),
             ("supervisor.shards_failed", len(report.failed_shards)),
-            ("supervisor.checkpoints_loaded", len(report.resumed_shards)),
             ("supervisor.personas_missing", len(report.missing_personas)),
         ):
             if count:

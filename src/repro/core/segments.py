@@ -28,10 +28,9 @@ Durability and reuse rules (shared with :mod:`repro.core.checkpoint`):
   sha256 of the file bytes, and the batch marker records the full
   digest per segment.  A batch counts as *covered* only when its marker
   validates and every referenced segment's digest matches, which is
-  what subsumes the pickle-level :class:`~repro.core.cache.DatasetCache`
-  with persona-granularity reuse: re-running the same (seed, config)
-  campaign skips covered personas, and a campaign killed mid-run
-  resumes from its completed batches.
+  what gives persona-granularity reuse and resume: re-running the same
+  (seed, config) campaign skips covered personas, and a campaign killed
+  mid-run resumes from its completed batches.
 
 I/O fast path
 -------------
@@ -129,6 +128,7 @@ from repro.core.experiment import (
     ExperimentConfig,
     ExperimentRunner,
     PersonaArtifacts,
+    config_fingerprint,
 )
 from repro.core.personas import positions_by_name, scaled_roster
 from repro.core.profiling import persona_observations
@@ -256,9 +256,9 @@ class _BatchEntry:
 class SegmentStore:
     """Columnar event-stream store for one campaign ``(seed, config)``.
 
-    The store is keyed exactly like the shard journal and the dataset
-    cache: seed root plus config fingerprint (the campaign directory
-    name embeds both), with the roster recorded in the manifest.  All
+    The store is keyed by seed root plus config fingerprint (the
+    campaign directory name embeds both), with the roster recorded in
+    the manifest.  All
     mutation goes through :meth:`write_batch`; reads are streaming.
     """
 
@@ -1325,7 +1325,6 @@ def run_segment_shard(
     passed to every :func:`write_segment_batch` call (the campaign's
     shared base catalog, which forked workers inherit).
     """
-    from repro.core.cache import config_fingerprint
     from repro.core.parallel import ShardResult
 
     roster = scaled_roster(config.roster_scale)

@@ -18,7 +18,10 @@ __all__ = ["RunManifest", "MANIFEST_SCHEMA_VERSION"]
 #: v2: added ``fault_profile`` (network fault injection).
 #: v3: added ``shard_attempts`` / ``missing_personas`` / ``resumed`` /
 #: ``checkpointed`` (crash-safe supervisor).
-MANIFEST_SCHEMA_VERSION = 3
+#: v4: dropped ``cache_hit``, ``resumed``, ``checkpointed`` and the
+#: ``"cached"`` entrypoint with the dataset cache and the shard
+#: checkpoint journal (resume is the segment store's coverage).
+MANIFEST_SCHEMA_VERSION = 4
 
 
 @dataclass
@@ -27,13 +30,12 @@ class RunManifest:
 
     seed_root: int
     config_fingerprint: str
-    #: ``"serial"`` | ``"parallel"`` | ``"cached"``.
+    #: ``"serial"`` | ``"parallel"``.
     entrypoint: str
     workers: int = 1
     backend: str = "inline"
     #: Persona names per shard, in shard order (one shard when serial).
     shards: Tuple[Tuple[str, ...], ...] = ()
-    cache_hit: bool = False
     package_version: str = ""
     #: Normalised network fault profile the run was driven under
     #: (``"none"`` / ``"mild"`` / ``"harsh"`` / ``"rate:<r>"``) — part of
@@ -41,24 +43,17 @@ class RunManifest:
     fault_profile: str = "none"
     #: Supervisor attempt history per shard, in shard order: each inner
     #: tuple lists that shard's outcomes (``"ok"`` / ``"crash"`` /
-    #: ``"hang"`` / ``"poison"`` / ``"checkpoint"``) in attempt order.
-    #: Empty for serial/cached runs.
+    #: ``"hang"`` / ``"poison"`` / ``"enospc-degrade"``) in attempt order.
+    #: Empty for serial runs.
     shard_attempts: Tuple[Tuple[str, ...], ...] = ()
     #: Personas absent from a degraded (partial) merge, in plan order.
     #: A complete run always has an empty tuple here.
     missing_personas: Tuple[str, ...] = ()
-    #: True when the spec resumed from its checkpoint journal
-    #: (``CampaignSpec.resume``); the journal may have held any number
-    #: of completed shards, none included.
-    resumed: bool = False
-    #: True when shard results were journaled to the spec's
-    #: ``checkpoint_dir`` (without one, a parallel run writes no journal).
-    checkpointed: bool = False
     #: Host seconds per campaign phase — never reproducible.
     phase_real_seconds: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.entrypoint not in {"serial", "parallel", "cached"}:
+        if self.entrypoint not in {"serial", "parallel"}:
             raise ValueError(f"invalid entrypoint: {self.entrypoint!r}")
         self.shards = tuple(tuple(names) for names in self.shards)
         self.shard_attempts = tuple(
@@ -84,13 +79,10 @@ class RunManifest:
             "backend": self.backend,
             "shards": [list(names) for names in self.shards],
             "persona_count": self.persona_count,
-            "cache_hit": self.cache_hit,
             "package_version": self.package_version,
             "fault_profile": self.fault_profile,
             "shard_attempts": [list(outcomes) for outcomes in self.shard_attempts],
             "missing_personas": list(self.missing_personas),
-            "resumed": self.resumed,
-            "checkpointed": self.checkpointed,
         }
         if include_real:
             payload["real"] = {

@@ -10,17 +10,15 @@ artifacts::
         state.json       # job lifecycle state (atomic writes)
         events.jsonl     # lifecycle + progress events (SSE tails this)
         out/             # export files (results endpoint serves this)
-        checkpoint/      # shard journal namespace (parallel memory jobs)
-        segments/        # segment store namespace (store="segments" jobs)
+        segments/        # the job's segment store (every job runs on it)
 
-Durability follows the same rules as the shard journal
-(:mod:`repro.core.checkpoint`): every ``state.json`` write is atomic
-(temp → fsync → rename), so a SIGKILL'd service never leaves a
-half-written state behind, and on restart :meth:`JobStore.recover`
-re-enqueues every non-terminal job.  Because the checkpoint journal and
-the segment store are both crash-safe and job-local, a recovered job
-*resumes* — completed shards/batches are loaded, not recomputed — and
-its exports are byte-identical to an uninterrupted run.
+Every ``state.json`` write is an atomic publish
+(:mod:`repro.core.checkpoint`: temp → fsync → rename), so a SIGKILL'd
+service never leaves a half-written state behind, and on restart
+:meth:`JobStore.recover` re-enqueues every non-terminal job.  Every
+job runs on its own segment store, which is crash-safe, so a recovered
+job *resumes* — completed batches are reused, not recomputed — and its
+exports are byte-identical to an uninterrupted run.
 
 The event log speaks the exact five-key schema of the campaign obs
 trace (:func:`repro.obs.make_event_record`), one canonical JSON object
@@ -62,10 +60,6 @@ JOB_STATES = ("queued", "running", "complete", "partial", "failed", "cancelled")
 
 #: States a job never leaves.
 TERMINAL_STATES = ("complete", "partial", "failed", "cancelled")
-
-#: Spec fields the service owns: placement is per-job, so a submitted
-#: spec must not try to point the campaign at caller-chosen paths.
-_MANAGED_FIELDS = ("cache", "checkpoint_dir", "resume", "store_dir")
 
 _SPEC_NAME = "spec.json"
 _STATE_NAME = "state.json"
@@ -166,10 +160,6 @@ class Job:
         return self.root / "out"
 
     @property
-    def checkpoint_dir(self) -> Path:
-        return self.root / "checkpoint"
-
-    @property
     def segments_dir(self) -> Path:
         return self.root / "segments"
 
@@ -231,24 +221,15 @@ class Job:
     def effective_spec(self) -> CampaignSpec:
         """The submitted spec re-rooted into this job's namespace.
 
-        Placement fields are service-managed: a parallel memory campaign
-        checkpoints into ``checkpoint/`` (and resumes from it when a
-        journal is already there — the restart-recovery path), a segment
-        campaign streams into ``segments/``.  Everything that defines
-        *what* runs — config, seed, topology, failure policy — is the
-        submitted spec verbatim, which is what keeps the exports
-        byte-identical to a local ``repro run`` of the same spec.
+        The store is service-managed: every job streams into its own
+        segment store under ``segments/``, so a job restarted after a
+        crash resumes from the batches already covered there.
+        Everything that defines *what* runs — config, seed, topology,
+        failure policy — is the submitted spec verbatim, and the two
+        stores export byte-identical files, which is what keeps the
+        exports byte-identical to a local ``repro run`` of the same spec.
         """
-        spec = self.spec
-        if spec.store == "segments":
-            return spec.replace(store_dir=str(self.segments_dir))
-        if spec.parallel:
-            journal = self.checkpoint_dir / "journal.json"
-            return spec.replace(
-                checkpoint_dir=str(self.checkpoint_dir),
-                resume=journal.exists(),
-            )
-        return spec
+        return self.spec.replace(store="segments", store_dir=str(self.segments_dir))
 
     def execute(self) -> str:
         """Run the campaign; returns the terminal state reached.
@@ -266,7 +247,9 @@ class Job:
             self.update_state("cancelled")
             return "cancelled"
         spec = self.effective_spec()
-        resumed = spec.resume
+        # An earlier start left its segment store behind: this run
+        # resumes from its covered batches.
+        resumed = self.segments_dir.is_dir()
         self.update_state("running", resumed=resumed)
         self.events.emit(
             "job.started",
@@ -292,7 +275,7 @@ class Job:
             self.update_state("failed", error=message, reason=reason)
             return "failed"
         watcher.stop()
-        state = self._classify(result)
+        state = "partial" if result.status() == "partial" else "complete"
         self.events.emit(
             "job.finished",
             state=state,
@@ -300,16 +283,6 @@ class Job:
         )
         self.update_state(state, counts=_json_counts(counts))
         return state
-
-    def _classify(self, result) -> str:
-        """``complete`` vs ``partial`` from the campaign's own records."""
-        if self.spec.store == "segments":
-            status = result.status()
-            return "partial" if status == "partial" else "complete"
-        obs = getattr(result, "obs", None)
-        manifest = getattr(obs, "manifest", None)
-        missing = getattr(manifest, "missing_personas", ()) or ()
-        return "partial" if missing else "complete"
 
 
 def _json_counts(counts: Dict[str, int]) -> Dict[str, int]:
@@ -319,12 +292,10 @@ def _json_counts(counts: Dict[str, int]) -> Dict[str, int]:
 class _ProgressWatcher:
     """Background poll of a running job's durable namespace.
 
-    Parallel memory jobs leave ``shard-*.pkl`` entries in the checkpoint
-    journal and segment jobs leave ``batch-*.json`` coverage markers;
-    counting them is a cheap, read-only progress signal that feeds
-    ``job.progress`` events (and therefore the SSE stream) without
-    touching the campaign's own code paths.  Serial in-memory jobs have
-    no durable footprint, so they simply emit no progress events.
+    Every job leaves ``batch-*.json`` coverage markers in its segment
+    store; counting them is a cheap, read-only progress signal that
+    feeds ``job.progress`` events (and therefore the SSE stream) without
+    touching the campaign's own code paths.
     """
 
     def __init__(self, job: Job) -> None:
@@ -343,27 +314,12 @@ class _ProgressWatcher:
         if self._thread is not None:
             self._thread.join()
 
-    def _count(self) -> Optional[int]:
-        job = self._job
-        if job.spec.store == "segments":
-            if job.segments_dir.is_dir():
-                return len(list(job.segments_dir.glob("**/batch-*.json")))
-            return 0
-        if job.spec.parallel:
-            if job.checkpoint_dir.is_dir():
-                return len(list(job.checkpoint_dir.glob("shard-*.pkl")))
-            return 0
-        return None
-
     def _run(self) -> None:
         last: Optional[int] = None
-        unit = "batches" if self._job.spec.store == "segments" else "shards"
         while not self._stop.wait(_PROGRESS_POLL_SECONDS):
-            count = self._count()
-            if count is None:
-                return
+            count = len(list(self._job.segments_dir.glob("**/batch-*.json")))
             if count != last and count > 0:
-                self._job.events.emit("job.progress", completed=count, unit=unit)
+                self._job.events.emit("job.progress", completed=count, unit="batches")
                 last = count
 
 
@@ -416,16 +372,12 @@ class JobStore:
             raise SubmitError(
                 f"submit takes a CampaignSpec, got {type(spec).__name__}"
             )
-        managed = [
-            name
-            for name in _MANAGED_FIELDS
-            if getattr(spec, name) not in (None, False)
-        ]
-        if managed:
+        if spec.store_dir is not None:
+            # Placement is per-job: a submitted spec must not point the
+            # campaign at a caller-chosen path.
             raise SubmitError(
-                f"{', '.join(managed)} are managed by the service — each job "
-                "gets its own cache/checkpoint/segment namespace, so a "
-                "submitted spec must leave placement fields unset"
+                "store_dir is managed by the service — each job gets its "
+                "own segment store, so a submitted spec must leave it unset"
             )
         with self._lock:
             seq = self._next_seq
@@ -473,8 +425,8 @@ class JobStore:
         re-stamped: ``seq`` is reconstructed from its id, and since the
         original wall-clock time is unrecoverable, ``queued_at`` gets
         the recovery time — FIFO order is carried by ``seq`` either way.
-        Running jobs keep their checkpoint/segment namespaces, so
-        re-execution resumes from durable work instead of starting over.
+        Running jobs keep their segment stores, so re-execution resumes
+        from durable work instead of starting over.
         """
         recovered: List[Job] = []
         for job in self.list():

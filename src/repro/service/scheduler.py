@@ -159,7 +159,7 @@ class CampaignScheduler:
 
         New submissions raise :class:`DrainingError`; the dispatcher
         stops handing out work; running jobs run to their own terminal
-        states (their checkpoints and segment batches are durable, so
+        states (their segment batches are durable, so
         nothing is lost either way).  Jobs still queued stay durably
         ``queued`` — a restarted service re-admits them through
         ``store.recover()`` in their original order.  Returns ``True``

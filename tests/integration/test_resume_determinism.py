@@ -1,23 +1,24 @@
-"""Kill-and-resume equivalence for checkpointed campaigns.
+"""Kill-and-resume equivalence on the segment store.
 
 The tentpole invariant of the crash-safe execution layer: a campaign
-interrupted after ≥1 checkpointed shard and then resumed must produce
-exports **byte-identical** to an uninterrupted run of the same seed and
-config — under healthy and mild-faulted networks.  Shard artifacts are
-seed-deterministic, so a resumed shard loaded from the journal is
-indistinguishable from a recomputed one; the tests here pin that end to
-end.
+interrupted after ≥1 published batch and then re-run into the same
+store directory must produce exports **byte-identical** to an
+uninterrupted serial run of the same seed and config — under healthy
+and mild-faulted networks.  The store's content-addressed batches are
+its only durable state: a re-run skips every covered persona and
+computes only the rest.
 
 Two interruption styles are exercised:
 
 * **Deterministic interruption** — injected worker crashes exhaust one
   shard's retry budget under ``on_shard_failure="degrade"``, leaving a
-  partial journal exactly like a preempted run's, with no race on *when*
+  partial store exactly like a preempted run's, with no race on *when*
   the kill lands.
-* **Real SIGKILL** — a subprocess running the campaign is killed -9 as
-  soon as its first checkpoint lands, then the journal is resumed in
-  this process.  (If the subprocess wins the race and finishes, resume
-  degenerates to an all-checkpoint load — equality must hold either way.)
+* **Real SIGKILL** — a subprocess running a parallel segment campaign
+  is killed -9, with its forked workers, as soon as its first batch
+  marker lands, then the campaign is re-run into the same store in this
+  process.  (If the subprocess wins the race and finishes, the re-run
+  reuses every batch — equality must hold either way.)
 """
 
 import hashlib
@@ -29,10 +30,9 @@ import time
 
 import pytest
 
-from repro.core.campaign import run_campaign
-from repro.core.checkpoint import CheckpointError
+from repro.core.campaign import run_campaign, run_segment_campaign
 from repro.core.experiment import ExperimentConfig
-from repro.core.export import EXPORT_FILES, export_dataset
+from repro.core.export import EXPORT_FILES, export_dataset, export_segment_store
 from repro.core.parallel import WorkerFaultPlan
 from repro.util.rng import Seed
 
@@ -55,12 +55,21 @@ def _config(fault_profile):
     return dataclasses.replace(TINY, fault_profile=fault_profile)
 
 
-def _export_digests(dataset, out_dir):
-    export_dataset(dataset, out_dir)
+def _digests(out_dir):
     return {
         name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
         for name in EXPORT_FILES
     }
+
+
+def _export_digests(dataset, out_dir):
+    export_dataset(dataset, out_dir)
+    return _digests(out_dir)
+
+
+def _store_digests(store, out_dir):
+    export_segment_store(store, out_dir)
+    return _digests(out_dir)
 
 
 @pytest.fixture(scope="module")
@@ -79,97 +88,105 @@ class TestKillAndResume:
     def test_interrupted_then_resumed_matches_serial(
         self, tmp_path, serial_digests, profile
     ):
-        """Crash one shard out of the run, resume, compare every byte."""
+        """Crash one shard out of the run, re-run, compare every byte."""
         config = _config(profile)
-        ckpt = tmp_path / "journal"
+        store_dir = tmp_path / "store"
         # Shard 3 crashes on every attempt: the run completes degraded,
-        # leaving the journal exactly as a mid-run kill would — some
-        # shards checkpointed, one missing.
+        # leaving the store exactly as a mid-run kill would — some
+        # batches published, one shard's personas missing.
         faults = WorkerFaultPlan.targeted(
             {(3, attempt): "crash" for attempt in (1, 2, 3)}
         )
-        partial = run_campaign(
+        partial = run_segment_campaign(
             config,
             Seed(SEED_ROOT),
+            store_dir=store_dir,
             parallel=True,
             workers=WORKERS,
-            checkpoint_dir=ckpt,
             worker_faults=faults,
             on_shard_failure="degrade",
         )
-        assert partial.missing_personas  # the interruption really lost data
-        assert (ckpt / "journal.json").is_file()
+        assert partial.status() == "partial"
+        missing = partial.read_manifest()["missing_personas"]
+        assert missing  # the interruption really lost data
+        published = {
+            path: path.stat().st_mtime_ns
+            for path in partial.batches_dir.glob("batch-*.json")
+        }
+        assert published
 
-        resumed = run_campaign(
+        resumed = run_segment_campaign(
             config,
             Seed(SEED_ROOT),
+            store_dir=store_dir,
             parallel=True,
             workers=WORKERS,
-            checkpoint_dir=ckpt,
-            resume=True,
         )
-        assert resumed.missing_personas == ()
+        assert resumed.status() == "complete"
         assert (
-            _export_digests(resumed, tmp_path / "resumed")
+            _store_digests(resumed, tmp_path / "resumed")
             == serial_digests[profile]
         )
-        manifest = resumed.obs.manifest
-        assert manifest.resumed and manifest.checkpointed
-        # Three shards came from the journal, the crashed one was rerun.
-        checkpoint_shards = [
-            outcomes
-            for outcomes in manifest.shard_attempts
-            if outcomes == ("checkpoint",)
-        ]
-        assert len(checkpoint_shards) == WORKERS - 1
-        assert resumed.obs.metrics.value("supervisor.checkpoints_loaded") == (
-            WORKERS - 1
+        # The re-run reused every batch the interrupted run published
+        # and computed only the crashed shard's personas.
+        for path, mtime_ns in published.items():
+            assert path.stat().st_mtime_ns == mtime_ns
+        recomputed = len(list(resumed.batches_dir.glob("batch-*.json"))) - len(
+            published
         )
+        assert recomputed == len(missing)
 
     def test_sigkill_mid_run_then_resume(self, tmp_path, serial_digests):
-        """A real -9 on a parallel campaign, resumed to gold bytes."""
-        ckpt = tmp_path / "journal"
+        """A real -9 on a parallel segment campaign, resumed to gold bytes."""
+        store_dir = tmp_path / "store"
         script = (
-            "from repro.core.campaign import run_campaign\n"
+            "from repro.core.campaign import run_segment_campaign\n"
             "from repro.core.experiment import ExperimentConfig\n"
             f"config = ExperimentConfig(skills_per_persona=2, pre_iterations=1,"
             f" post_iterations=1, crawl_sites=2, prebid_discovery_target=5,"
             f" audio_hours=0.5)\n"
-            f"run_campaign(config, {SEED_ROOT}, parallel=True,"
-            f" workers={WORKERS},"
-            f" checkpoint_dir={str(ckpt)!r})\n"
+            f"run_segment_campaign(config, {SEED_ROOT}, parallel=True,"
+            f" workers={WORKERS}, store_dir={str(store_dir)!r})\n"
         )
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
         env["PYTHONPATH"] = os.path.abspath(src)
-        victim = subprocess.Popen([sys.executable, "-c", script], env=env)
+        # Its own session, so one killpg takes the supervisor and every
+        # forked worker down together, as a crash of the host would.
+        victim = subprocess.Popen(
+            [sys.executable, "-c", script], env=env, start_new_session=True
+        )
         try:
-            # Kill as soon as the first shard checkpoint lands.  If the
-            # campaign finishes first, resume is an all-checkpoint load
-            # and the equality below must hold regardless.
+            # Kill as soon as the first batch marker lands.  If the
+            # campaign finishes first, the re-run reuses every batch and
+            # the equality below must hold regardless.
             deadline = time.monotonic() + 120
             while time.monotonic() < deadline and victim.poll() is None:
-                if list(ckpt.glob("shard-*.pkl")):
+                if list(store_dir.glob("**/batch-*.json")):
                     break
                 time.sleep(0.05)
             if victim.poll() is None:
-                victim.send_signal(signal.SIGKILL)
+                os.killpg(victim.pid, signal.SIGKILL)
             victim.wait(timeout=30)
         finally:
             if victim.poll() is None:
                 victim.kill()
-        assert list(ckpt.glob("shard-*.pkl")), "no shard ever checkpointed"
+            try:
+                os.killpg(victim.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        assert list(store_dir.glob("**/batch-*.json")), "no batch ever landed"
 
-        resumed = run_campaign(
+        resumed = run_segment_campaign(
             TINY,
             Seed(SEED_ROOT),
+            store_dir=store_dir,
             parallel=True,
             workers=WORKERS,
-            checkpoint_dir=ckpt,
-            resume=True,
         )
+        assert resumed.status() == "complete"
         assert (
-            _export_digests(resumed, tmp_path / "resumed")
+            _store_digests(resumed, tmp_path / "resumed")
             == serial_digests["none"]
         )
 
@@ -202,60 +219,7 @@ class TestWatchdogIntegration:
 
 
 class TestResumeValidation:
-    def _checkpointed_run(self, ckpt):
-        return run_campaign(
-            TINY,
-            Seed(SEED_ROOT),
-            parallel=True,
-            workers=WORKERS,
-            checkpoint_dir=ckpt,
-        )
-
-    def test_resume_with_wrong_seed_rejected(self, tmp_path):
-        self._checkpointed_run(tmp_path / "journal")
-        with pytest.raises(CheckpointError, match="seed_root"):
-            run_campaign(
-                TINY,
-                Seed(SEED_ROOT + 1),
-                parallel=True,
-                workers=WORKERS,
-                checkpoint_dir=tmp_path / "journal",
-                resume=True,
-            )
-
-    def test_resume_with_wrong_config_rejected(self, tmp_path):
-        self._checkpointed_run(tmp_path / "journal")
-        with pytest.raises(CheckpointError, match="config_fingerprint"):
-            run_campaign(
-                _config("mild"),
-                Seed(SEED_ROOT),
-                parallel=True,
-                workers=WORKERS,
-                checkpoint_dir=tmp_path / "journal",
-                resume=True,
-            )
-
-    def test_resume_with_wrong_worker_count_rejected(self, tmp_path):
-        self._checkpointed_run(tmp_path / "journal")
-        with pytest.raises(CheckpointError, match="plan_digest"):
-            run_campaign(
-                TINY,
-                Seed(SEED_ROOT),
-                parallel=True,
-                workers=WORKERS - 1,
-                checkpoint_dir=tmp_path / "journal",
-                resume=True,
-            )
-
-    def test_resume_without_checkpoint_dir_rejected(self):
-        with pytest.raises(ValueError, match="checkpoint_dir"):
-            run_campaign(
-                TINY, Seed(SEED_ROOT), parallel=True, resume=True
-            )
-
     def test_supervisor_knobs_require_parallel(self):
-        with pytest.raises(ValueError, match="parallel"):
-            run_campaign(TINY, Seed(SEED_ROOT), checkpoint_dir="/tmp/x")
         with pytest.raises(ValueError, match="parallel"):
             run_campaign(TINY, Seed(SEED_ROOT), on_shard_failure="degrade")
         with pytest.raises(ValueError, match="parallel"):

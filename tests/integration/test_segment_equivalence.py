@@ -148,7 +148,7 @@ class TestRosterScale:
 
 
 def _fingerprint(config):
-    from repro.core.cache import config_fingerprint
+    from repro.core.experiment import config_fingerprint
 
     return config_fingerprint(config)
 

@@ -136,7 +136,8 @@ class TestHttpLifecycle:
                 {"schema": 1, "config": {}, "backend": "gpu", "parallel": True},
                 {"schema": 1, "config": {}, "wrokers": 4},
                 {"schema": 99, "config": {}},
-                {"schema": 1, "config": {}, "cache": "/tmp/c"},  # managed
+                # store_dir is managed by the service
+                {"schema": 1, "config": {}, "store": "segments", "store_dir": "/s"},
             ]
             for body in bad_bodies:
                 with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -155,6 +156,22 @@ class TestHttpLifecycle:
                 CampaignSpec.from_dict(body)
             assert str(expected.value) in detail["error"]
             assert "parallel=False" in detail["error"]
+            # So do the retired dataset-cache and shard-journal fields.
+            for field, value in (
+                ("cache", "/tmp/c"),
+                ("cache_copy", False),
+                ("checkpoint_dir", "/tmp/ckpt"),
+                ("resume", True),
+            ):
+                body = {"schema": 1, "config": {}, "parallel": True, field: value}
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    _post_json(url, body)
+                assert excinfo.value.code == 400
+                detail = json.loads(excinfo.value.read().decode("utf-8"))
+                with pytest.raises(ValueError) as expected:
+                    CampaignSpec.from_dict(body)
+                assert str(expected.value) in detail["error"]
+                assert 'store: "segments" plus store_dir' in detail["error"]
             # nothing half-created
             assert _get_json(url)["jobs"] == []
 
@@ -211,7 +228,7 @@ class TestMultiTenant:
 class TestKillRestartResume:
     def test_sigkill_service_then_restart_completes_identically(self, tmp_path):
         """SIGKILL the whole service mid-campaign; a restart on the same
-        root re-queues the job, resumes from its checkpoints, and the
+        root re-queues the job, resumes from its segment store, and the
         final exports match an uninterrupted in-process run byte for
         byte."""
         spec = CampaignSpec(config=TINY, seed=2026, parallel=True, workers=4)
@@ -231,11 +248,14 @@ class TestKillRestartResume:
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
         env["PYTHONPATH"] = os.path.abspath(src)
+        # Its own session, so one killpg takes the service and every
+        # forked shard worker down together.
         victim = subprocess.Popen(
             [sys.executable, "-c", script],
             env=env,
             stdout=subprocess.PIPE,
             text=True,
+            start_new_session=True,
         )
         try:
             port = int(victim.stdout.readline().strip())
@@ -243,25 +263,29 @@ class TestKillRestartResume:
                 f"http://127.0.0.1:{port}/campaigns", spec.to_dict()
             )
             job_id = record["id"]
-            ckpt = root / "jobs" / job_id / "checkpoint"
-            # Kill the moment the first shard checkpoint lands.  If the
+            segments = root / "jobs" / job_id / "segments"
+            # Kill the moment the first batch marker lands.  If the
             # campaign wins the race and finishes, the restart degenerates
-            # to recovery of a complete journal — equality must still hold.
+            # to reuse of a complete store — equality must still hold.
             deadline = time.monotonic() + 240
             while time.monotonic() < deadline and victim.poll() is None:
-                if list(ckpt.glob("shard-*.pkl")):
+                if list(segments.glob("**/batch-*.json")):
                     break
                 time.sleep(0.05)
-            victim.send_signal(signal.SIGKILL)
+            os.killpg(victim.pid, signal.SIGKILL)
             victim.wait(timeout=30)
         finally:
             if victim.poll() is None:
                 victim.kill()
+            try:
+                os.killpg(victim.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
             victim.stdout.close()
-        assert list(ckpt.glob("shard-*.pkl")), "no shard ever checkpointed"
+        assert list(segments.glob("**/batch-*.json")), "no batch ever landed"
 
         # Restart on the same root: recovery must find the orphaned job,
-        # re-queue it, and resume from the journal it left behind.
+        # re-queue it, and resume from the segment store it left behind.
         with AuditService(root, total_workers=4) as service:
             final = _wait_terminal(service.url, job_id)
             assert final["state"] == "complete"

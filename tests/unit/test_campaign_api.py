@@ -59,7 +59,7 @@ class TestValidation:
             run_campaign(TINY, 1, workers=4)
 
     def test_parallel_with_cache(self, tmp_path):
-        with pytest.raises(ValueError, match="mutually exclusive"):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'cache'"):
             run_campaign(TINY, 1, parallel=True, cache=tmp_path)
 
     def test_parallel_with_caller_collector(self):
@@ -96,3 +96,15 @@ class TestLegacyShimsRemoved:
 
         assert not hasattr(parallel, "run_parallel_experiment")
         assert "run_parallel_experiment" not in parallel.__all__
+
+    def test_dataset_cache_and_shard_journal_are_gone(self, tmp_path):
+        import repro.core.checkpoint as checkpoint
+
+        with pytest.raises(ModuleNotFoundError):
+            import repro.core.cache  # noqa: F401
+        assert checkpoint.__all__ == [
+            "atomic_write_bytes", "fsync_dir", "quarantine_path"
+        ]
+        for kwargs in ({"checkpoint_dir": tmp_path}, {"resume": True}):
+            with pytest.raises(TypeError, match="unexpected keyword argument"):
+                run_campaign(TINY, 1, parallel=True, **kwargs)

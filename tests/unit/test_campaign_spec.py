@@ -17,7 +17,7 @@ from repro.core.campaign import (
     execute_spec,
     run_campaign,
 )
-from repro.core.experiment import ExperimentConfig
+from repro.core.experiment import ExperimentConfig, config_fingerprint
 from repro.core.export import EXPORT_FILES
 
 TINY = ExperimentConfig(
@@ -35,7 +35,6 @@ class TestRoundTrip:
         spec = CampaignSpec(
             config=TINY, seed=7, parallel=True, workers=3,
             on_shard_failure="degrade", shard_timeout=12.5,
-            checkpoint_dir="/tmp/ckpt", resume=True,
         )
         assert CampaignSpec.from_json(spec.to_json()) == spec
 
@@ -100,6 +99,20 @@ class TestFingerprint:
         assert result.stdout.strip() == spec.fingerprint()
 
 
+class TestConfigFingerprint:
+    """``config_fingerprint`` keys segment stores and run manifests."""
+
+    def test_stable_for_equal_configs(self):
+        assert config_fingerprint(TINY) == config_fingerprint(
+            dataclasses.replace(TINY)
+        )
+
+    def test_sensitive_to_every_field(self):
+        base = config_fingerprint(TINY)
+        changed = dataclasses.replace(TINY, second_interaction_wave=False)
+        assert config_fingerprint(changed) != base
+
+
 class TestValidation:
     def test_rejects_bad_backend(self):
         with pytest.raises(ValueError, match="backend"):
@@ -153,17 +166,46 @@ class TestValidation:
 
     def test_rejects_supervisor_knobs_without_parallel(self):
         with pytest.raises(ValueError, match="parallel=True"):
-            CampaignSpec(config=TINY, checkpoint_dir="x")
+            CampaignSpec(config=TINY, on_shard_failure="degrade")
         with pytest.raises(ValueError, match="parallel=True"):
             CampaignSpec(config=TINY, shard_timeout=5.0)
 
     def test_rejects_cache_with_parallel(self):
-        with pytest.raises(ValueError, match="mutually exclusive"):
+        with pytest.raises(ValueError, match="retired spec field"):
             CampaignSpec(config=TINY, parallel=True, cache="c")
 
     def test_rejects_cache_for_segments(self):
-        with pytest.raises(ValueError, match="segments"):
+        with pytest.raises(ValueError, match="retired spec field"):
             CampaignSpec(config=TINY, store="segments", cache="c")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("cache", "/tmp/cache"),
+            ("cache_copy", False),
+            ("checkpoint_dir", "/tmp/ckpt"),
+            ("resume", True),
+        ],
+    )
+    def test_retired_durability_fields_name_their_replacement(self, field, value):
+        """The dataset cache and the shard journal are gone: each of
+        their schema-1 fields accepts only its default, and every
+        surface that builds a spec fails with the same message."""
+        body = CampaignSpec(config=TINY, parallel=True).to_dict()
+        body[field] = value
+        attempts = [
+            lambda: CampaignSpec(config=TINY, parallel=True, **{field: value}),
+            lambda: CampaignSpec.from_dict(body),
+            lambda: CampaignSpec.from_json(json.dumps(body)),
+        ]
+        messages = set()
+        for attempt in attempts:
+            with pytest.raises(ValueError) as excinfo:
+                attempt()
+            messages.add(str(excinfo.value))
+        (message,) = messages
+        assert f"retired spec field(s) {field}:" in message
+        assert 'store: "segments" plus store_dir' in message
 
     def test_rejects_batch_personas_for_memory(self):
         with pytest.raises(ValueError, match="batch_personas"):
@@ -194,7 +236,7 @@ class TestValidation:
     def test_rejects_path_objects_in_spec(self):
         with pytest.raises(TypeError, match="string path"):
             CampaignSpec(
-                config=TINY, parallel=True, checkpoint_dir=Path("x")  # type: ignore[arg-type]
+                config=TINY, store="segments", store_dir=Path("x")  # type: ignore[arg-type]
             )
 
 

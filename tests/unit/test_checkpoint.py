@@ -1,28 +1,10 @@
-"""Unit tests for the crash-safe shard journal (repro.core.checkpoint)."""
+"""Unit tests for the atomic publish primitive (repro.core.checkpoint)."""
 
 import os
-import pickle
 
 import pytest
 
-from repro.core.checkpoint import (
-    CHECKPOINT_SCHEMA_VERSION,
-    CheckpointError,
-    CorruptShardError,
-    ShardJournal,
-    atomic_write_bytes,
-    shard_plan_digest,
-)
-
-PLAN = [["a", "b"], ["c"], ["d", "e"]]
-
-
-def _journal(root, **overrides):
-    kwargs = dict(
-        root=root, seed_root=2026, config_fingerprint="abc123", shard_plan=PLAN
-    )
-    kwargs.update(overrides)
-    return ShardJournal(**kwargs)
+from repro.core.checkpoint import atomic_write_bytes
 
 
 class TestAtomicWriteBytes:
@@ -59,182 +41,3 @@ class TestAtomicWriteBytes:
             atomic_write_bytes(target, b"partial")
         assert target.read_bytes() == b"original"
         assert [p.name for p in tmp_path.iterdir()] == ["payload.bin"]
-
-
-class TestShardPlanDigest:
-    def test_stable(self):
-        assert shard_plan_digest(PLAN) == shard_plan_digest(
-            [list(names) for names in PLAN]
-        )
-
-    def test_sensitive_to_membership_and_order(self):
-        base = shard_plan_digest(PLAN)
-        assert shard_plan_digest([["b", "a"], ["c"], ["d", "e"]]) != base
-        assert shard_plan_digest([["a", "b"], ["c"]]) != base
-
-
-class TestShardEntries:
-    def test_round_trip(self, tmp_path):
-        journal = _journal(tmp_path)
-        journal.write_shard(1, {"payload": list(range(10))})
-        assert journal.load_shard(1) == {"payload": list(range(10))}
-
-    def test_absent_entry_is_none(self, tmp_path):
-        journal = _journal(tmp_path)
-        assert journal.load_shard(0) is None
-        assert not journal.has_entry(0)
-
-    def test_out_of_plan_index_rejected(self, tmp_path):
-        journal = _journal(tmp_path)
-        with pytest.raises(ValueError, match="outside plan"):
-            journal.write_shard(7, "x")
-        with pytest.raises(ValueError, match="outside plan"):
-            journal.load_shard(-1)
-
-    def test_unreadable_entry_raises_corrupt(self, tmp_path):
-        journal = _journal(tmp_path)
-        journal.shard_path(0).parent.mkdir(parents=True, exist_ok=True)
-        journal.shard_path(0).write_bytes(b"garbage, not a pickle")
-        with pytest.raises(CorruptShardError, match="unreadable"):
-            journal.load_shard(0)
-
-    def test_truncated_entry_raises_corrupt(self, tmp_path):
-        journal = _journal(tmp_path)
-        journal.write_shard(0, {"big": "x" * 4096})
-        path = journal.shard_path(0)
-        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
-        with pytest.raises(CorruptShardError):
-            journal.load_shard(0)
-
-    def test_schema_stamp_invalidates(self, tmp_path):
-        journal = _journal(tmp_path)
-        journal.write_shard(0, "result")
-        payload = pickle.loads(journal.shard_path(0).read_bytes())
-        payload["schema"] = CHECKPOINT_SCHEMA_VERSION + 1
-        journal.shard_path(0).write_bytes(pickle.dumps(payload))
-        with pytest.raises(CorruptShardError, match="schema"):
-            journal.load_shard(0)
-
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {"seed_root": 9999},
-            {"config_fingerprint": "other-config"},
-            {"shard_plan": [["a", "b"], ["c"], ["d"]]},
-        ],
-        ids=["seed", "config", "plan"],
-    )
-    def test_foreign_campaign_entry_never_loads(self, tmp_path, overrides):
-        _journal(tmp_path).write_shard(0, "foreign result")
-        with pytest.raises(CorruptShardError, match="fails validation"):
-            _journal(tmp_path, **overrides).load_shard(0)
-
-    def test_quarantine_moves_entry_aside(self, tmp_path):
-        journal = _journal(tmp_path)
-        journal.write_shard(0, "result")
-        target = journal.quarantine(0)
-        assert target is not None and target.name.endswith(".corrupt")
-        assert not journal.has_entry(0)
-        assert journal.load_shard(0) is None  # key free for a retry
-
-    def test_quarantine_of_absent_entry_is_noop(self, tmp_path):
-        assert _journal(tmp_path).quarantine(0) is None
-
-    def test_load_completed_skips_and_quarantines_corrupt(self, tmp_path):
-        journal = _journal(tmp_path)
-        journal.write_shard(0, "r0")
-        journal.write_shard(2, "r2")
-        journal.shard_path(1).parent.mkdir(parents=True, exist_ok=True)
-        journal.shard_path(1).write_bytes(b"junk")
-        completed = journal.load_completed()
-        assert completed == {0: "r0", 2: "r2"}
-        assert journal.shard_path(1).with_name(
-            journal.shard_path(1).name + ".corrupt"
-        ).is_file()
-
-    def test_reset_drops_entries_errors_and_quarantine(self, tmp_path):
-        journal = _journal(tmp_path)
-        journal.write_shard(0, "r0")
-        journal.write_error(1, "boom")
-        journal.write_shard(2, "r2")
-        journal.quarantine(2)
-        journal.reset()
-        assert journal.load_completed() == {}
-        assert journal.read_error(1) is None
-        assert not list(tmp_path.glob("shard-*"))
-
-    def test_error_records_round_trip(self, tmp_path):
-        journal = _journal(tmp_path)
-        assert journal.read_error(0) is None
-        journal.write_error(0, "Traceback: worker exploded")
-        assert "exploded" in journal.read_error(0)
-
-
-class TestJournalManifest:
-    def test_round_trip(self, tmp_path):
-        journal = _journal(tmp_path)
-        journal.write_manifest(
-            status="partial",
-            attempts={0: ["ok"], 1: ["crash", "ok"], 2: ["hang", "crash"]},
-            missing_personas=["d", "e"],
-            package_version="1.4.0",
-        )
-        manifest = journal.read_manifest()
-        assert manifest["status"] == "partial"
-        assert manifest["attempts"] == {
-            "0": ["ok"],
-            "1": ["crash", "ok"],
-            "2": ["hang", "crash"],
-        }
-        assert manifest["missing_personas"] == ["d", "e"]
-        assert manifest["shard_plan"] == PLAN
-        assert manifest["schema"] == CHECKPOINT_SCHEMA_VERSION
-
-    def test_invalid_status_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="status"):
-            _journal(tmp_path).write_manifest(status="exploded")
-
-    def test_missing_manifest_reads_none(self, tmp_path):
-        assert _journal(tmp_path).read_manifest() is None
-
-    def test_corrupt_manifest_raises(self, tmp_path):
-        journal = _journal(tmp_path)
-        journal.manifest_path.parent.mkdir(parents=True, exist_ok=True)
-        journal.manifest_path.write_text("{not json")
-        with pytest.raises(CorruptShardError, match="unreadable"):
-            journal.read_manifest()
-
-    def test_validate_for_resume_accepts_matching_key(self, tmp_path):
-        journal = _journal(tmp_path)
-        journal.write_manifest(status="running")
-        assert journal.validate_for_resume()["status"] == "running"
-
-    def test_validate_for_resume_requires_manifest(self, tmp_path):
-        with pytest.raises(CheckpointError, match="no journal manifest"):
-            _journal(tmp_path).validate_for_resume()
-
-    @pytest.mark.parametrize(
-        "overrides,field",
-        [
-            ({"seed_root": 9999}, "seed_root"),
-            ({"config_fingerprint": "zzz"}, "config_fingerprint"),
-            ({"shard_plan": [["a"], ["b", "c"], ["d", "e"]]}, "plan_digest"),
-        ],
-        ids=["seed", "config", "plan"],
-    )
-    def test_validate_for_resume_rejects_foreign_journal(
-        self, tmp_path, overrides, field
-    ):
-        _journal(tmp_path).write_manifest(status="running")
-        with pytest.raises(CheckpointError, match=field):
-            _journal(tmp_path, **overrides).validate_for_resume()
-
-
-class TestJournalConstruction:
-    def test_empty_plan_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="empty"):
-            _journal(tmp_path, shard_plan=[])
-
-    def test_plan_normalised_to_tuples(self, tmp_path):
-        journal = _journal(tmp_path)
-        assert journal.shard_plan == (("a", "b"), ("c",), ("d", "e"))

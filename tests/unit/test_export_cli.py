@@ -6,7 +6,18 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.campaign import CampaignSpec
+from repro.core.experiment import ExperimentConfig
 from repro.core.export import EXPORT_FILES, export_dataset, export_summary
+
+TINY = ExperimentConfig(
+    skills_per_persona=2,
+    pre_iterations=1,
+    post_iterations=1,
+    crawl_sites=2,
+    prebid_discovery_target=5,
+    audio_hours=0.5,
+)
 
 
 class TestExport:
@@ -94,13 +105,46 @@ class TestCli:
             assert (mem / name).read_bytes() == (seg / name).read_bytes(), name
 
     def test_run_segments_rejects_cache_flag(self, tmp_path):
-        code = main(
-            [
-                "run", "--small", "--seed", "7", "--cache",
-                "--store", "segments", "--out", str(tmp_path / "x"),
-            ]
-        )
-        assert code == 2
+        """The dataset cache is gone, and so is its flag: the segment
+        store is the one way to reuse a run."""
+        self._assert_flags_rejected(tmp_path, ["--cache"])
+
+    @pytest.mark.parametrize("flags", [["--checkpoint-dir", "ckpt"], ["--resume"]])
+    def test_run_segments_rejects_journal_flags(self, tmp_path, flags):
+        """The shard journal is gone, and so are its flags: the segment
+        store is the one way to resume."""
+        self._assert_flags_rejected(tmp_path, flags)
+
+    @staticmethod
+    def _assert_flags_rejected(tmp_path, flags):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["run", "--small", "--seed", "7"]
+                + flags
+                + ["--store", "segments", "--out", str(tmp_path / "x")]
+            )
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("spec_file", [False, True])
+    def test_run_storage_faults_needs_segment_store(self, tmp_path, capsys, spec_file):
+        """The memory store writes nothing, so storage faults cannot
+        apply to it: one line naming --store segments, exit 2, nothing
+        run and no plan left installed."""
+        from repro.core.iosim import current_storage_faults
+
+        if spec_file:
+            spec = tmp_path / "spec.json"
+            spec.write_text(CampaignSpec(config=TINY).to_json(), encoding="utf-8")
+            campaign = ["--spec", str(spec)]
+        else:
+            campaign = ["--small", "--seed", "7"]
+        out = tmp_path / "x"
+        assert main(["run", *campaign, "--storage-faults", "mild", "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().out.splitlines()
+        assert "--storage-faults" in line and "--store segments" in line
+        assert not out.exists()
+        assert current_storage_faults() is None
 
     def test_tables_small(self, capsys):
         assert main(["tables", "--small", "--seed", "7"]) == 0

@@ -3,17 +3,15 @@
 Every corruption class the storage fault injector can leave behind must
 be detected, classified (ok / repaired / quarantined / unrecoverable),
 and — under ``repair=True`` — fixed well enough that the online
-machinery recovers: rebuilt indexes serve point reads, re-stamped
-journals resume, truncated event logs append cleanly.
+machinery recovers: rebuilt indexes serve point reads, truncated event
+logs append cleanly.
 """
 
 import json
-import pickle
 
 import pytest
 
 from repro.core.campaign import CampaignSpec
-from repro.core.checkpoint import ShardJournal
 from repro.core.experiment import ExperimentConfig
 from repro.core.fsck import fsck_path
 from repro.core.segments import SegmentStore
@@ -55,14 +53,6 @@ def populated_store(root) -> SegmentStore:
     return store
 
 
-def make_journal(root) -> ShardJournal:
-    journal = ShardJournal(root, 2026, "abc123", [["a", "b"], ["c"]])
-    journal.write_shard(0, {"personas": ["a", "b"]})
-    journal.write_shard(1, {"personas": ["c"]})
-    journal.write_manifest(status="complete")
-    return journal
-
-
 class TestDetection:
     def test_rejects_unrecognized_directories(self, tmp_path):
         (tmp_path / "stuff.txt").write_text("hello")
@@ -73,11 +63,9 @@ class TestDetection:
 
     def test_detects_each_tree_kind(self, tmp_path):
         store = populated_store(tmp_path / "store")
-        make_journal(tmp_path / "journal")
         JobStore(tmp_path / "service").submit(CampaignSpec(config=TINY, seed=5))
         assert fsck_path(tmp_path / "store")["kind"] == "segment-store"
         assert fsck_path(store.campaign_dir)["kind"] == "segment-campaign"
-        assert fsck_path(tmp_path / "journal")["kind"] == "checkpoint-journal"
         assert fsck_path(tmp_path / "service")["kind"] == "job-tree"
 
 
@@ -183,61 +171,6 @@ class TestSegmentCampaign:
         assert after["unrecoverable"] == 0
 
 
-class TestCheckpointJournal:
-    def test_clean_journal(self, tmp_path):
-        make_journal(tmp_path)
-        report = fsck_path(tmp_path)
-        assert report["unrecoverable"] == 0
-        assert report["ok"] == 3  # two shards + manifest
-
-    def test_corrupt_shard_is_quarantined(self, tmp_path):
-        journal = make_journal(tmp_path)
-        journal.shard_path(1).write_bytes(b"\x80not a pickle")
-        report = fsck_path(tmp_path, repair=True)
-        assert report["quarantined"] == 1
-        assert not journal.shard_path(1).exists()
-
-    def test_foreign_shard_is_quarantined(self, tmp_path):
-        journal = make_journal(tmp_path)
-        foreign = ShardJournal(
-            tmp_path / "other", 999, "zzz999", [["x"], ["y"]]
-        )
-        foreign.write_shard(0, {"personas": ["x"]})
-        journal.shard_path(0).write_bytes(
-            foreign.shard_path(0).read_bytes()
-        )
-        report = fsck_path(tmp_path, repair=True)
-        assert report["quarantined"] == 1
-
-    def test_lost_manifest_is_restamped_and_resumable(self, tmp_path):
-        journal = make_journal(tmp_path)
-        journal.manifest_path.write_text("{torn mid-write")
-
-        dry = fsck_path(tmp_path)
-        assert dry["repaired"] == 1
-        assert not any(a["applied"] for a in dry["actions"])
-
-        report = fsck_path(tmp_path, repair=True)
-        assert report["repaired"] == 1
-        manifest = json.loads(journal.manifest_path.read_text())
-        assert manifest["restamped_by"] == "fsck"
-        assert manifest["status"] == "partial"
-        # The re-stamped key satisfies resume validation for the same
-        # campaign — completed shards load instead of recomputing.
-        again = ShardJournal(tmp_path, 2026, "abc123", [["a", "b"], ["c"]])
-        again.validate_for_resume()
-        assert again.load_shard(0) == {"personas": ["a", "b"]}
-
-    def test_no_manifest_and_no_shards_is_unrecoverable(self, tmp_path):
-        journal = make_journal(tmp_path)
-        journal.manifest_path.write_text("{torn")
-        for index in (0, 1):
-            journal.shard_path(index).write_bytes(b"rot")
-        report = fsck_path(tmp_path, repair=True)
-        assert report["unrecoverable"] == 1
-        assert report["quarantined"] == 2
-
-
 class TestJobTree:
     def _job(self, tmp_path):
         store = JobStore(tmp_path)
@@ -295,7 +228,6 @@ class TestJobTree:
 
     def test_single_job_dir_and_nested_trees(self, tmp_path):
         job = self._job(tmp_path)
-        make_journal(job.root / "checkpoint")
         populated_store(job.root / "segments")
         report = fsck_path(job.root)
         assert report["kind"] == "job"

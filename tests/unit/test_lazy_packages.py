@@ -40,12 +40,12 @@ SEED_ALL = {
         "WAKE_WORDS",
     ],
     "repro.core": [
-        "AuditDataset", "AudioAdAnalysis", "CheckpointError", "ComplianceAnalysis",
-        "CorruptSegmentError", "CorruptShardError", "DatasetCache", "DisplayAdAnalysis",
+        "AuditDataset", "AudioAdAnalysis", "ComplianceAnalysis",
+        "CorruptSegmentError", "DisplayAdAnalysis",
         "ExperimentConfig", "ExperimentRunner", "FsckReport", "MannWhitneyResult",
         "Persona", "PersonaArtifacts", "PolicyAvailability", "PolicyFetch",
         "ProfilingAnalysis", "SegmentError", "SegmentStore", "ShardFailure",
-        "ShardJournal", "ShardResult", "StorageFaultPlan", "StorageFaultProfile",
+        "ShardResult", "StorageFaultPlan", "StorageFaultProfile",
         "SupervisorPolicy", "SupervisorReport", "SyncAnalysis", "SyncEvent",
         "TrafficAnalysis", "WorkerFaultPlan", "World", "all_personas",
         "atomic_write_bytes", "analyze_audio_ads", "analyze_compliance",

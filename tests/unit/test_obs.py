@@ -7,6 +7,7 @@ import pytest
 
 from repro.obs import (
     EVENT_SCHEMA_VERSION,
+    MANIFEST_SCHEMA_VERSION,
     EventLog,
     MetricsRegistry,
     NULL_OBS,
@@ -196,6 +197,15 @@ class TestManifest:
         assert payload["persona_count"] == 2
         assert payload["real"]["phase_seconds"] == {"setup": 0.25}
         assert "real" not in manifest.to_dict(include_real=False)
+
+    def test_v4_drops_the_cache_and_journal_fields(self):
+        payload = RunManifest(
+            seed_root=1, config_fingerprint="f", entrypoint="parallel"
+        ).to_dict()
+        assert payload["schema"] == MANIFEST_SCHEMA_VERSION == 4
+        assert not {"cache_hit", "resumed", "checkpointed"} & set(payload)
+        with pytest.raises(ValueError, match="entrypoint"):
+            RunManifest(seed_root=1, config_fingerprint="f", entrypoint="cached")
 
 
 class TestCollector:

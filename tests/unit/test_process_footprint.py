@@ -42,7 +42,7 @@ TINY = ExperimentConfig(
 HEAVY = ["numpy", "scipy", "multiprocessing", "repro.service"] + [
     f"repro.core.{name}"
     for name in (
-        "parallel", "segments", "cache", "checkpoint", "fsck", "timeline",
+        "parallel", "segments", "checkpoint", "fsck", "timeline",
         "export", "stats", "bids", "traffic", "report", "syncing",
         "compliance", "profiling", "adcontent",
     )

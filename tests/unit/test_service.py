@@ -78,12 +78,11 @@ class TestJobStore:
     def test_submit_rejects_managed_placement_fields(self, tmp_path):
         store = JobStore(tmp_path)
         managed = CampaignSpec(
-            config=TINY, parallel=True, checkpoint_dir="/tmp/elsewhere"
+            config=TINY, parallel=True, store="segments", store_dir="/tmp/elsewhere"
         )
         with pytest.raises(SubmitError, match="managed by the service"):
             store.submit(managed)
-        with pytest.raises(SubmitError, match="managed by the service"):
-            store.submit(CampaignSpec(config=TINY, cache="/tmp/cache"))
+        assert store.list() == []
 
     def test_job_ids_are_sequential_across_restarts(self, tmp_path):
         store = JobStore(tmp_path)
@@ -109,17 +108,18 @@ class TestJobStore:
         )
 
     def test_effective_spec_isolates_namespaces(self, tmp_path):
+        """Every job runs on its own segment store, whatever store the
+        spec names; nothing else about the spec changes."""
         store = JobStore(tmp_path)
         parallel = store.submit(CampaignSpec(config=TINY, parallel=True, workers=2))
-        effective = parallel.effective_spec()
-        assert effective.checkpoint_dir == str(parallel.checkpoint_dir)
-        assert effective.resume is False  # no journal yet
-        (parallel.checkpoint_dir).mkdir(parents=True)
-        (parallel.checkpoint_dir / "journal.json").write_text("{}")
-        assert parallel.effective_spec().resume is True  # restart path
-
+        serial = store.submit(CampaignSpec(config=TINY, seed=9))
         segments = store.submit(CampaignSpec(config=TINY, store="segments"))
-        assert segments.effective_spec().store_dir == str(segments.segments_dir)
+        for job in (parallel, serial, segments):
+            effective = job.effective_spec()
+            assert effective.store == "segments"
+            assert effective.store_dir == str(job.segments_dir)
+            assert effective.replace(store=job.spec.store, store_dir=None) == job.spec
+        assert len({job.segments_dir for job in (parallel, serial, segments)}) == 3
 
     def test_describe_carries_spec_and_fingerprint(self, tmp_path):
         job = JobStore(tmp_path).submit(SPEC)

@@ -2,9 +2,9 @@
 
 The supervisor is exercised against a stub shard function (no real
 campaign) so every recovery path — crash requeue, hung-worker reaping,
-poison quarantine, degrade accounting — runs in milliseconds.  Workers
-send their outcome over a pipe; a journal is written only when the
-supervisor is given one (a checkpointed run).
+poison requeue, degrade accounting — runs in milliseconds.  Workers
+send their outcome over a pipe, and the supervisor writes nothing to
+disk.
 """
 
 import os
@@ -19,7 +19,6 @@ from pathlib import Path
 import pytest
 
 from repro.core.campaign import run_campaign, run_segment_campaign
-from repro.core.checkpoint import ShardJournal
 from repro.core.experiment import ExperimentConfig
 from repro.core.parallel import (
     ON_SHARD_FAILURE,
@@ -55,54 +54,57 @@ def _big_stub_shard(shard_index, seed, config, persona_names, collect_obs):
     return bytes([shard_index]) * BIG_RESULT_BYTES
 
 
-def _supervisor(tmp_path, policy, shard_fn=_stub_shard, journaled=True):
-    journal = ShardJournal(tmp_path, 2026, "abc123", PLAN) if journaled else None
-    return (
-        _ShardSupervisor(
-            PLAN,
-            Seed(2026),
-            None,  # config is opaque to the supervisor; the stub ignores it
-            False,
-            policy,
-            shard_fn=shard_fn,
-            journal=journal,
-        ),
-        journal,
+def _supervisor(policy, shard_fn=_stub_shard):
+    return _ShardSupervisor(
+        PLAN,
+        Seed(2026),
+        None,  # config is opaque to the supervisor; the stub ignores it
+        False,
+        policy,
+        shard_fn=shard_fn,
     )
 
 
+def _first_failure(schedule):
+    """The ShardFailure a ``raise``-policy run ends with: its message
+    carries the supervisor's detail for the failed attempt."""
+    policy = SupervisorPolicy(
+        on_shard_failure="raise",
+        worker_faults=WorkerFaultPlan.targeted(schedule),
+    )
+    with pytest.raises(ShardFailure) as excinfo:
+        _supervisor(policy).run()
+    return excinfo.value
+
+
 class TestHealthyRuns:
-    def test_all_shards_complete(self, tmp_path):
-        supervisor, journal = _supervisor(tmp_path, SupervisorPolicy())
-        results, report = supervisor.run()
+    def test_all_shards_complete(self):
+        results, report = _supervisor(SupervisorPolicy()).run()
         assert results == {0: "result-0", 1: "result-1", 2: "result-2"}
         assert report.attempts == {0: ["ok"], 1: ["ok"], 2: ["ok"]}
         assert report.retries == 0
         assert report.failed_shards == ()
-        assert journal.read_manifest()["status"] == "complete"
+        assert report.missing_personas == ()
 
-    def test_results_larger_than_a_pipe_buffer_arrive(self, tmp_path):
+    def test_results_larger_than_a_pipe_buffer_arrive(self):
         """The supervisor reads while the worker writes: an 8 MiB result
         per shard neither deadlocks nor arrives truncated."""
-        supervisor, _ = _supervisor(
-            tmp_path,
-            SupervisorPolicy(shard_timeout=60.0),
-            shard_fn=_big_stub_shard,
-            journaled=False,
+        supervisor = _supervisor(
+            SupervisorPolicy(shard_timeout=60.0), shard_fn=_big_stub_shard
         )
         results, report = supervisor.run()
         assert report.attempts == {0: ["ok"], 1: ["ok"], 2: ["ok"]}
         for index, result in results.items():
             assert result == bytes([index]) * BIG_RESULT_BYTES
 
-    def test_unjournaled_run_writes_nothing(self, tmp_path):
+    def test_unjournaled_run_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         policy = SupervisorPolicy(
             worker_faults=WorkerFaultPlan.targeted(
                 {(0, 1): "crash", (1, 1): "poison"}
             )
         )
-        supervisor, _ = _supervisor(tmp_path, policy, journaled=False)
-        results, report = supervisor.run()
+        results, report = _supervisor(policy).run()
         assert results == {0: "result-0", 1: "result-1", 2: "result-2"}
         assert report.attempts == {
             0: ["crash", "ok"],
@@ -111,78 +113,53 @@ class TestHealthyRuns:
         }
         assert list(tmp_path.iterdir()) == []
 
-    def test_preloaded_shards_are_not_recomputed(self, tmp_path):
-        policy = SupervisorPolicy()
-        supervisor, _ = _supervisor(tmp_path, policy)
-        results, report = supervisor.run(preloaded={0: "checkpointed-0"})
-        assert results[0] == "checkpointed-0"
-        assert report.attempts[0] == ["checkpoint"]
-        assert report.resumed_shards == (0,)
-        assert report.retries == 0  # checkpoint loads are not attempts
-
 
 class TestCrashRecovery:
-    def test_injected_crash_is_retried(self, tmp_path):
-        supervisor, journal = self._crash_then_ok(tmp_path)
-        results, report = supervisor.run()
+    def test_injected_crash_is_retried(self):
+        results, report = self._crash_then_ok().run()
         assert results == {0: "result-0", 1: "result-1", 2: "result-2"}
         assert report.attempts[1] == ["crash", "ok"]
         assert report.retries == 1
-        assert journal.read_manifest()["status"] == "complete"
-        assert journal.load_shard(1) == "result-1"  # the retry's entry
+        assert report.missing_personas == ()
 
-    def test_injected_process_crash_is_retried(self, tmp_path):
+    def test_injected_process_crash_is_retried(self):
         """The process dies outright: EOF on its pipe is the crash."""
-        supervisor, journal = self._crash_then_ok(tmp_path)
-        results, report = supervisor.run()
+        results, report = self._crash_then_ok().run()
         assert results[1] == "result-1"
         assert report.attempts[1] == ["crash", "ok"]
-        # The crash closed the pipe unsent; the supervisor recorded it.
-        error = journal.read_error(1)
-        assert "without sending a result (worker exit code 3)" in error
+        # The crash closed the pipe unsent; the supervisor says so.
+        failure = _first_failure({(1, 1): "crash"})
+        assert "without sending a result (worker exit code 3)" in str(failure)
 
-    def _crash_then_ok(self, tmp_path):
+    def _crash_then_ok(self):
         policy = SupervisorPolicy(
             worker_faults=WorkerFaultPlan.targeted({(1, 1): "crash"})
         )
-        return _supervisor(tmp_path, policy)
+        return _supervisor(policy)
 
-    def test_retry_budget_exhaustion_raises(self, tmp_path):
+    def test_retry_budget_exhaustion_raises(self):
         schedule = {(1, attempt): "crash" for attempt in (1, 2)}
         policy = SupervisorPolicy(
             max_shard_retries=1,
             worker_faults=WorkerFaultPlan.targeted(schedule),
         )
-        supervisor, journal = _supervisor(tmp_path, policy)
         with pytest.raises(ShardFailure) as excinfo:
-            supervisor.run()
+            _supervisor(policy).run()
         assert excinfo.value.shard_index == 1
         assert excinfo.value.outcomes == ("crash", "crash")
-        assert journal.read_manifest()["status"] == "failed"
 
-    def test_raise_policy_propagates_first_failure(self, tmp_path):
-        policy = SupervisorPolicy(
-            on_shard_failure="raise",
-            worker_faults=WorkerFaultPlan.targeted({(0, 1): "crash"}),
+    def test_raise_policy_propagates_first_failure(self):
+        failure = _first_failure({(0, 1): "crash"})
+        assert failure.outcomes == ("crash",)
+
+    def test_real_worker_exception_is_a_crash(self):
+        supervisor = _supervisor(
+            SupervisorPolicy(max_shard_retries=0), shard_fn=_exploding_stub
         )
-        supervisor, _ = _supervisor(tmp_path, policy)
-        with pytest.raises(ShardFailure) as excinfo:
+        # The worker's traceback is the failure's detail.
+        with pytest.raises(ShardFailure, match="exploded") as excinfo:
             supervisor.run()
         assert excinfo.value.outcomes == ("crash",)
-
-    def test_real_worker_exception_is_a_crash(self, tmp_path):
-        supervisor, journal = _supervisor(
-            tmp_path,
-            SupervisorPolicy(max_shard_retries=0),
-            shard_fn=_exploding_stub,
-        )
-        with pytest.raises(ShardFailure, match="exploded"):
-            supervisor.run()
-        # The worker's traceback landed in the journal's error record.
-        assert any(
-            journal.read_error(i) and "exploded" in journal.read_error(i)
-            for i in range(len(PLAN))
-        )
 
 
 def _exploding_stub(shard_index, seed, config, persona_names, collect_obs):
@@ -190,32 +167,28 @@ def _exploding_stub(shard_index, seed, config, persona_names, collect_obs):
 
 
 class TestDegrade:
-    def test_exhausted_shard_is_dropped_and_accounted(self, tmp_path):
+    def test_exhausted_shard_is_dropped_and_accounted(self):
         schedule = {(2, attempt): "crash" for attempt in (1, 2, 3)}
         policy = SupervisorPolicy(
             on_shard_failure="degrade",
             worker_faults=WorkerFaultPlan.targeted(schedule),
         )
-        supervisor, journal = _supervisor(tmp_path, policy)
-        results, report = supervisor.run()
+        results, report = _supervisor(policy).run()
         assert sorted(results) == [0, 1]
         assert report.failed_shards == (2,)
         assert report.missing_personas == ("d", "e")
-        manifest = journal.read_manifest()
-        assert manifest["status"] == "partial"
-        assert manifest["missing_personas"] == ["d", "e"]
-        assert manifest["attempts"]["2"] == ["crash", "crash", "crash"]
+        assert report.attempts[2] == ["crash", "crash", "crash"]
 
 
 class TestWatchdog:
-    def test_hung_worker_is_reaped_and_retried(self, tmp_path):
+    def test_hung_worker_is_reaped_and_retried(self):
         policy = SupervisorPolicy(
             shard_timeout=1.5,
             worker_faults=WorkerFaultPlan.targeted(
                 {(1, 1): "hang"}, hang_seconds=3600
             ),
         )
-        supervisor, _ = _supervisor(tmp_path, policy)
+        supervisor = _supervisor(policy)
         started = time.monotonic()
         results, report = supervisor.run()
         elapsed = time.monotonic() - started
@@ -225,7 +198,7 @@ class TestWatchdog:
         assert elapsed < 60
 
     def test_reaped_worker_dies_despite_an_inherited_sigterm_handler(
-        self, tmp_path, monkeypatch
+        self, monkeypatch
     ):
         """``repro serve`` traps SIGTERM to drain; a worker forked under
         that handler inherits it, so the watchdog must not rely on
@@ -246,7 +219,7 @@ class TestWatchdog:
                     {(1, 1): "hang"}, hang_seconds=3600
                 ),
             )
-            supervisor, _ = _supervisor(tmp_path, policy, journaled=False)
+            supervisor = _supervisor(policy)
             started = time.monotonic()
             results, report = supervisor.run()
             elapsed = time.monotonic() - started
@@ -260,12 +233,9 @@ class TestWatchdog:
         # Well under the 5 s a reap waits for a worker that will not die.
         assert elapsed < 4.0
 
-    def test_watchdog_leaves_slow_but_live_workers_alone(self, tmp_path):
+    def test_watchdog_leaves_slow_but_live_workers_alone(self):
         policy = SupervisorPolicy(shard_timeout=30.0)
-        supervisor, _ = _supervisor(
-            tmp_path, policy, shard_fn=_slow_stub_shard
-        )
-        results, report = supervisor.run()
+        results, report = _supervisor(policy, shard_fn=_slow_stub_shard).run()
         assert len(results) == len(PLAN)
         assert all(outcomes == ["ok"] for outcomes in report.attempts.values())
 
@@ -326,37 +296,30 @@ class TestOrphanedWorkers:
 
 
 class TestPoison:
-    def test_poisoned_result_is_quarantined_and_retried(self, tmp_path):
-        supervisor, journal = self._poison_then_ok(tmp_path)
-        results, report = supervisor.run()
+    def test_poisoned_result_is_quarantined_and_retried(self):
+        results, report = self._poison_then_ok().run()
         assert results[0] == "result-0"
         assert report.attempts[0] == ["poison", "ok"]
-        quarantined = journal.shard_path(0).with_name(
-            journal.shard_path(0).name + ".corrupt"
-        )
-        assert quarantined.is_file()  # evidence preserved for post-mortem
-        with pytest.raises(Exception):
-            pickle.loads(quarantined.read_bytes())
-        assert journal.load_shard(0) == "result-0"  # the retry's entry
+        assert report.retries == 1
 
-    def test_poisoned_process_result_is_quarantined_and_retried(self, tmp_path):
-        """The quarantine holds exactly the bytes that crossed the pipe."""
-        supervisor, journal = self._poison_then_ok(tmp_path)
-        results, report = supervisor.run()
+    def test_poisoned_process_result_is_quarantined_and_retried(self):
+        """The poisoned bytes that crossed the pipe do not unpickle, and
+        the supervisor names them as unreadable."""
+        results, report = self._poison_then_ok().run()
         assert results[0] == "result-0"
         assert report.attempts[0] == ["poison", "ok"]
         assert report.outcome_count("poison") == 1
-        quarantined = journal.shard_path(0).with_name(
-            journal.shard_path(0).name + ".corrupt"
-        )
-        assert quarantined.read_bytes() == _POISON_BYTES
-        assert "worker sent an unreadable result" in journal.read_error(0)
+        with pytest.raises(Exception):
+            pickle.loads(_POISON_BYTES)
+        failure = _first_failure({(0, 1): "poison"})
+        assert failure.outcomes == ("poison",)
+        assert "worker sent an unreadable result" in str(failure)
 
-    def _poison_then_ok(self, tmp_path):
+    def _poison_then_ok(self):
         policy = SupervisorPolicy(
             worker_faults=WorkerFaultPlan.targeted({(0, 1): "poison"})
         )
-        return _supervisor(tmp_path, policy)
+        return _supervisor(policy)
 
 
 class TestWorkerFaultPlan:
@@ -444,11 +407,11 @@ class TestSupervisorReport:
             attempts={
                 0: ["ok"],
                 1: ["crash", "hang", "ok"],
-                2: ["checkpoint"],
+                2: ["crash", "enospc-degrade"],
             }
         )
-        assert report.retries == 2
-        assert report.outcome_count("crash") == 1
+        assert report.retries == 3
+        assert report.outcome_count("crash") == 2
         assert report.outcome_count("hang") == 1
         assert report.outcome_count("ok") == 2
 
@@ -465,12 +428,9 @@ TINY = ExperimentConfig(
 
 @pytest.fixture
 def no_journal(monkeypatch, tmp_path):
-    """Fail any ShardJournal construction; point temp files at tmp_path."""
-
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("a run without checkpoint_dir built a ShardJournal")
-
-    monkeypatch.setattr(ShardJournal, "__init__", refuse)
+    """Run in an empty directory with temp files pointed into it; the
+    temp directory must still be empty afterwards."""
+    monkeypatch.chdir(tmp_path)
     (tmp_path / "tmp").mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
     yield tmp_path
@@ -478,12 +438,13 @@ def no_journal(monkeypatch, tmp_path):
 
 
 class TestNoCheckpointDir:
-    """Without ``checkpoint_dir`` the supervisor keeps no journal at all."""
+    """The supervisor keeps no journal: a memory-store parallel run
+    writes nothing, and a segment-store one writes only its store."""
 
     def test_memory_store_parallel_run(self, no_journal):
         dataset = run_campaign(TINY, Seed(2026), parallel=True, workers=2)
         assert dataset.missing_personas == ()
-        assert not list(no_journal.rglob("journal.json"))
+        assert sorted(p.name for p in no_journal.iterdir()) == ["tmp"]
 
     def test_segment_store_parallel_run(self, no_journal):
         store = run_segment_campaign(
