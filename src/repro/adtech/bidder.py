@@ -38,7 +38,7 @@ __all__ = ["Bidder", "AuctionContext", "WEB_SIGNAL_FRACTION"]
 WEB_SIGNAL_FRACTION = 0.90
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuctionContext:
     """Everything a bid depends on for one (slot, user, time) auction."""
 

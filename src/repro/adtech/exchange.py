@@ -113,6 +113,9 @@ class AdTechWorld:
         #: The last bid request's ``when`` string and its datetime: every
         #: bid request of one page carries the same one.
         self._when: Optional[Tuple[str, _dt.datetime]] = None
+        #: The last bid request's (query pairs, persona, interacted) and
+        #: its auction: every bidder of one ad unit gets the same query.
+        self._auction: Optional[Tuple[tuple, AuctionContext]] = None
         #: Observability sink; the experiment runner swaps in its
         #: collector so exchange counters land in the campaign trace.
         self.obs = NULL_OBS
@@ -275,15 +278,7 @@ class AdTechWorld:
             state = self._uid_index.get(uid)
             if state is None:
                 return HttpResponse(status=204, body={"nobid": True})
-            query = request.query
-            context = AuctionContext(
-                persona=state.persona,
-                interacted=state.interacted,
-                when=self._parse_when(query["when"]),
-                slot_id=query["slot"],
-                iteration=int(query["iteration"]),
-            )
-            cpm = bidder.compute_bid(context)
+            cpm = bidder.compute_bid(self._auction_for(request._pairs, state))
             return HttpResponse(
                 status=200,
                 body={
@@ -295,6 +290,22 @@ class AdTechWorld:
             )
 
         return handler
+
+    def _auction_for(self, pairs: tuple, state: PersonaState) -> AuctionContext:
+        """The auction a bid query opens for ``state``, built once per ad unit."""
+        key = (pairs, state.persona, state.interacted)
+        last = self._auction
+        if last is None or last[0] != key:
+            query = dict(pairs)
+            context = AuctionContext(
+                persona=state.persona,
+                interacted=state.interacted,
+                when=self._parse_when(query["when"]),
+                slot_id=query["slot"],
+                iteration=int(query["iteration"]),
+            )
+            last = self._auction = (key, context)
+        return last[1]
 
     def _parse_when(self, when: str) -> _dt.datetime:
         """``datetime.fromisoformat(when)``, parsed once per page."""

@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # avoid a runtime cycle with repro.web
 __all__ = ["BidResponse", "AdUnit", "PrebidSession", "register_publisher", "slot_id"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BidResponse:
     """One bid as exposed by ``pbjs.getBidResponses()``."""
 

@@ -527,10 +527,11 @@ def _cmd_run(args) -> int:
         # Harness-level, not campaign-shaping: the plan lives in the
         # process (and, via propagate, in spawned workers), never in the
         # spec — which is why it composes with --spec and never touches
-        # the config fingerprint.
+        # the config fingerprint.  Its schedule is drawn from the spec's
+        # seed, which on the flags path is --seed.
         from repro.core.iosim import install_storage_faults
 
-        install_storage_faults(args.storage_faults, seed=args.seed, propagate=True)
+        install_storage_faults(args.storage_faults, seed=spec.seed, propagate=True)
     counts, result = repro.execute_spec(spec, args.out)
     _LOG.info("%s", render_kv(counts, title=f"exported to {args.out}/"))
     if spec.store == "segments":

@@ -9,18 +9,51 @@ message or only ciphertext metadata is decided by the vantage point
 from __future__ import annotations
 
 from collections import abc
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 from urllib.parse import parse_qsl, urlencode, urlparse
 
-__all__ = ["HttpRequest", "HttpResponse", "estimate_size"]
+__all__ = ["HttpRequest", "HttpResponse", "estimate_size", "EMPTY_MAPPING"]
 
 QueryPairs = Tuple[Tuple[str, str], ...]
+
+_METHODS = frozenset({"GET", "POST", "PUT", "DELETE", "HEAD"})
 
 #: Exact types :func:`estimate_size` knows are not mappings without an ABC check.
 _NON_MAPPING_TYPES = frozenset({int, float, bool, type(None), list, tuple})
 #: Bytes :func:`estimate_size` adds to every message (≈ framing overhead).
 _FRAMING = 64
+
+
+class _EmptyMapping(abc.Mapping):
+    """An immutable empty mapping that equals, and prints as, ``{}``.
+
+    There is one instance, :data:`EMPTY_MAPPING`, and it pickles by
+    reference to it: unlike ``types.MappingProxyType({})`` it crosses a
+    shard worker's result pipe, and arrives as the same shared object.
+    """
+
+    __slots__ = ()
+
+    def __getitem__(self, key: str) -> Any:
+        raise KeyError(key)
+
+    def __iter__(self):
+        return iter(())
+
+    def __len__(self) -> int:
+        return 0
+
+    def __repr__(self) -> str:
+        return "{}"
+
+    def __reduce__(self) -> str:
+        return "EMPTY_MAPPING"
+
+
+#: The ``set_cookies`` of every response that sets none; the request log
+#: keeps one reference per entry instead of one empty dict per response.
+EMPTY_MAPPING: Mapping[str, Any] = _EmptyMapping()
 
 
 @dataclass(frozen=True)
@@ -43,8 +76,6 @@ class HttpRequest:
     headers: Mapping[str, str] = field(default_factory=dict)
     cookies: Mapping[str, str] = field(default_factory=dict)
     body: Mapping[str, Any] = field(default_factory=dict)
-    #: ``(scheme, host, path, query pairs)`` of ``url``, if already known.
-    parts: InitVar[Optional[Tuple[str, str, str, QueryPairs]]] = None
     scheme: str = field(init=False, repr=False, compare=False)
     host: str = field(init=False, repr=False, compare=False)
     path: str = field(init=False, repr=False, compare=False)
@@ -53,37 +84,45 @@ class HttpRequest:
     #: Parsed query pairs; ``None`` until first read.
     _parsed: Optional[QueryPairs] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, parts: Optional[Tuple[str, str, str, QueryPairs]]) -> None:
-        if self.method not in {"GET", "POST", "PUT", "DELETE", "HEAD"}:
-            raise ValueError(f"unsupported HTTP method: {self.method}")
-        if parts is None:
-            parsed = urlparse(self.url)
-            scheme, host, path = parsed.scheme, parsed.netloc.split(":")[0], parsed.path or "/"
-            query = parsed.query
-            pairs = None if query else ()
-        else:
-            scheme, host, path, pairs = parts
-            query = ""
-        if scheme not in ("http", "https") or not host:
-            raise ValueError(f"invalid URL: {self.url}")
+    def __post_init__(self) -> None:
+        parsed = urlparse(self.url)
+        host = parsed.netloc.split(":")[0]
+        _validate(self.method, parsed.scheme, host, self.url)
         # Frozen: the derived parts go straight into the instance dict.
-        self.__dict__.update(scheme=scheme, host=host, path=path, _query=query, _parsed=pairs)
+        self.__dict__.update(
+            scheme=parsed.scheme, host=host, path=parsed.path or "/",
+            _query=parsed.query, _parsed=None if parsed.query else (),
+        )
 
     @classmethod
     def from_parts(
         cls, method: str, scheme: str, host: str, path: str,
-        query_pairs: QueryPairs = (), query_string: Optional[str] = None, **fields: Any,
+        query_pairs: QueryPairs = (), query_string: Optional[str] = None, *,
+        headers: Optional[Mapping[str, str]] = None,
+        cookies: Optional[Mapping[str, str]] = None,
+        body: Optional[Mapping[str, Any]] = None,
     ) -> "HttpRequest":
         """The request for ``{scheme}://{host}{path}?{query_string}``, unparsed.
 
         ``query_string`` defaults to ``urlencode(query_pairs)``; pass it to
         share one encoding across requests.  The pairs must be what
         ``parse_qsl`` reads back from it: ``str`` keys, non-empty values.
+        Validated as the constructor validates, but built without its
+        ``__init__``/``__post_init__`` round trip.
         """
         if query_string is None:
             query_string = urlencode(query_pairs) if query_pairs else ""
         url = f"{scheme}://{host}{path}" + (f"?{query_string}" if query_string else "")
-        return cls(method, url, parts=(scheme, host, path or "/", tuple(query_pairs)), **fields)
+        _validate(method, scheme, host, url)
+        request = object.__new__(cls)
+        request.__dict__.update(
+            method=method, url=url,
+            headers={} if headers is None else headers,
+            cookies={} if cookies is None else cookies,
+            body={} if body is None else body,
+            scheme=scheme, host=host, path=path or "/", _query="", _parsed=tuple(query_pairs),
+        )
+        return request
 
     def __reduce__(self):
         return (type(self), (self.method, self.url, self.headers, self.cookies, self.body))
@@ -181,7 +220,8 @@ class HttpResponse:
 
     status: int
     headers: Mapping[str, str] = field(default_factory=dict)
-    set_cookies: Mapping[str, str] = field(default_factory=dict)
+    #: :data:`EMPTY_MAPPING` when the response sets no cookie.
+    set_cookies: Mapping[str, str] = field(default_factory=lambda: EMPTY_MAPPING)
     body: Mapping[str, Any] = field(default_factory=dict)
     #: Follow-up URL for 3xx responses — how cookie-sync redirect chains run.
     redirect_url: Optional[str] = None
@@ -216,6 +256,14 @@ class HttpResponse:
             + _mapping_size(self.body)
             + _value_size(self.redirect_url)
         )
+
+
+def _validate(method: str, scheme: str, host: str, url: str) -> None:
+    """Raise ``ValueError`` for a method or URL no request may carry."""
+    if method not in _METHODS:
+        raise ValueError(f"unsupported HTTP method: {method}")
+    if scheme not in ("http", "https") or not host:
+        raise ValueError(f"invalid URL: {url}")
 
 
 def estimate_size(payload: Mapping[str, Any]) -> int:

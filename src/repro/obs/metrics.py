@@ -134,6 +134,11 @@ class MetricsRegistry:
 
     def inc(self, name: str, n: int = 1, merge: str = "sum") -> int:
         """Increment (creating on first use) the counter ``name``."""
+        metric = self._metrics.get(name)
+        if type(metric) is Counter and metric.merge == merge and type(n) is int and n >= 0:
+            # The common case, already checked: an existing counter.
+            metric.value += n
+            return metric.value
         return self.counter(name, merge).inc(n)
 
     def set_gauge(self, name: str, value: float, merge: str = "max") -> float:

@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Union
 from repro.alexa.account import AmazonAccount
 from repro.netsim.endpoints import registrable_domain
 from repro.netsim.faults import DEFAULT_RETRY_POLICY, FaultPlan, RetryPolicy
-from repro.netsim.http import HttpRequest, HttpResponse
+from repro.netsim.http import EMPTY_MAPPING, HttpRequest, HttpResponse
 from repro.netsim.router import NetworkError
 from repro.obs.collector import NULL_OBS
 from repro.util.clock import SimClock
@@ -33,18 +33,28 @@ MAX_REDIRECTS = 10
 
 
 class CookieJar:
-    """Per-registrable-domain cookie store."""
+    """Per-registrable-domain cookie store, copy-on-write per domain.
+
+    :meth:`set` replaces a domain's dict instead of changing it, so a
+    dict :meth:`snapshot` hands out never changes afterwards: every
+    request to a domain until its next ``set`` shares one.
+    """
 
     def __init__(self) -> None:
         self._cookies: Dict[str, Dict[str, str]] = {}
 
     def set(self, domain: str, name: str, value: str) -> None:
         base = registrable_domain(domain)
-        self._cookies.setdefault(base, {})[name] = value
+        cookies = self._cookies.get(base)
+        self._cookies[base] = {**cookies, name: value} if cookies else {name: value}
 
     def get(self, domain: str) -> Dict[str, str]:
         """Cookies sent to ``domain`` (same registrable domain only)."""
-        return dict(self._cookies.get(registrable_domain(domain), {}))
+        return dict(self.snapshot(domain))
+
+    def snapshot(self, domain: str) -> Mapping[str, str]:
+        """:meth:`get` without the copy: shared, so read it, never change it."""
+        return self._cookies.get(registrable_domain(domain), EMPTY_MAPPING)
 
     def domains(self) -> List[str]:
         return sorted(self._cookies)
@@ -70,7 +80,7 @@ class BrowserProfile:
             self.jar.set("amazon-adsystem.com", name, value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LoggedRequest:
     """One entry in the OpenWPM-style request log."""
 
@@ -195,13 +205,15 @@ class Browser:
                 body={"error": f"unreachable: {request.host}"},
             )
 
-    def _cookies_for(self, host: str) -> Dict[str, str]:
-        """A snapshot of the cookies sent to ``host`` — what the log keeps."""
-        cookies = self.profile.jar.get(host)
+    def _cookies_for(self, host: str) -> Mapping[str, str]:
+        """The jar's snapshot of the cookies sent to ``host`` — what the
+        log keeps, shared with every other request that sent the same."""
+        jar = self.profile.jar
+        cookies = jar.snapshot(host)
         if not cookies:
             # First visit to this party: mint its first-party cookie, the
             # identifier ad services use for syncing.
             uid = stable_hash("uid", self.profile.profile_id, registrable_domain(host))
-            self.profile.jar.set(host, "uid", uid)
-            cookies = {"uid": uid}
+            jar.set(host, "uid", uid)
+            cookies = jar.snapshot(host)
         return cookies

@@ -28,7 +28,7 @@ from repro.web.browser import Browser, BrowserProfile, WebUniverse
 __all__ = ["BidRecord", "AdRecord", "CrawlResult", "OpenWPMCrawler", "discover_prebid_sites"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BidRecord:
     """One observed header-bidding bid."""
 
@@ -42,7 +42,7 @@ class BidRecord:
     interacted: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdRecord:
     """One rendered ad creative."""
 

@@ -25,6 +25,7 @@ from repro.netsim.endpoints import registrable_domain
 from repro.netsim.http import HttpRequest, HttpResponse
 from repro.obs.collector import ObsCollector
 from repro.util.clock import SimClock
+from repro.util.ids import stable_hash
 from repro.util.rng import Seed
 from repro.web.browser import Browser, BrowserProfile, WebUniverse
 
@@ -228,6 +229,59 @@ class TestAdTechWorldMemos:
         parsed = [world._parse_when(s) for s in stamps]
         assert parsed == [dt.datetime.fromisoformat(s) for s in stamps]
         assert parsed[0] is parsed[1]
+
+
+class TestAuctionContextMemo:
+    def test_per_unit_context_equals_a_fresh_one(self):
+        """One context per (query, persona, interacted), the last kept: a
+        run of bidders for one unit shares it, and any interleaving of
+        units, personas and treatment flips reads what a context built
+        afresh from ``request.query`` on every call reads."""
+        seed = Seed(12)
+        world = AdTechWorld(seed, WebUniverse())
+        states = [
+            world.register_profile(BrowserProfile(f"prof-{p}", p))
+            for p in (cat.FASHION, cat.VANILLA, cat.WEB_HEALTH)
+        ]
+        stamps = ["2021-12-27T09:00:00+00:00", "2021-12-29T10:30:00.250000+00:00"]
+        queries = [
+            (("slot", f"site{s}.com--slot-{s}"), ("page", f"site{s}.com"),
+             ("iteration", str(i)), ("when", when))
+            for s in range(3) for i in (0, 2) for when in stamps
+        ]
+        calls = [(q, state, flag) for q in queries for state in states
+                 for flag in (False, True)] * 2
+        random.Random(3).shuffle(calls)
+        # Runs of bidders on one unit, as a page sends them.
+        calls = [call for call in calls[:60] for _ in range(3)] + calls[60:]
+        bidders = world.bidders[:2] + world.bidders[-2:]
+        for n, (pairs, state, flag) in enumerate(calls):
+            state.interacted = flag
+            bidder = bidders[n % len(bidders)]
+            request = HttpRequest.from_parts("GET", "https", bidder.domain, "/bid", pairs)
+            query = HttpRequest("GET", request.url).query
+            fresh = AuctionContext(
+                persona=state.persona,
+                interacted=flag,
+                when=dt.datetime.fromisoformat(query["when"]),
+                slot_id=query["slot"],
+                iteration=int(query["iteration"]),
+            )
+            uid = stable_hash("uid", state.profile_id, registrable_domain(bidder.domain))
+            reply = world.universe.handle(request.with_cookies({"uid": uid}))
+            assert world._auction[1] == fresh
+            assert reply.body["cpm"] == reference_bid(seed, bidder, fresh)
+            assert world._auction_for(pairs, state) is world._auction[1]
+
+    def test_string_built_query_reads_last_value(self):
+        world = AdTechWorld(Seed(12), WebUniverse())
+        state = world.register_profile(BrowserProfile("prof-f", cat.FASHION))
+        url = ("https://b.example.com/bid?slot=a&page=p&iteration=1"
+               "&when=2021-12-27T09:00:00%2B00:00&slot=b&iteration=4")
+        request = HttpRequest("GET", url)
+        context = world._auction_for(request._pairs, state)
+        assert (context.slot_id, context.iteration) == ("b", 4)
+        assert context.when == dt.datetime(2021, 12, 27, 9, tzinfo=UTC)
 
 
 class TestBidQuery:

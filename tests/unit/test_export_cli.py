@@ -146,6 +146,47 @@ class TestCli:
         assert not out.exists()
         assert current_storage_faults() is None
 
+    def test_run_spec_storage_faults_follow_the_spec_seed(self, tmp_path, monkeypatch):
+        """``--spec`` forbids ``--seed``, so the storage fault plan is
+        drawn from the spec's seed: two specs that differ only in seed
+        get different schedules, each the plan of its own seed."""
+        import repro
+        from repro.core.iosim import (
+            StorageFaultPlan,
+            current_storage_faults,
+            uninstall_storage_faults,
+        )
+
+        class Ran(Exception):
+            pass
+
+        def execute_spec(spec, out):
+            raise Ran(current_storage_faults())
+
+        def schedule(plan):
+            return [repr(plan.decide("segments", "segment")) for _ in range(300)]
+
+        monkeypatch.setattr(repro, "execute_spec", execute_spec)
+        schedules = []
+        try:
+            for seed in (7, 8):
+                spec = tmp_path / f"spec-{seed}.json"
+                spec.write_text(
+                    CampaignSpec(config=TINY, seed=seed, store="segments").to_json(),
+                    encoding="utf-8",
+                )
+                with pytest.raises(Ran) as ran:
+                    main(["run", "--spec", str(spec), "--storage-faults", "harsh",
+                          "--out", str(tmp_path / "x")])
+                (plan,) = ran.value.args
+                assert plan.seed.root == seed
+                expected = StorageFaultPlan.from_profile("harsh", seed)
+                schedules.append(schedule(plan))
+                assert schedules[-1] == schedule(expected)
+        finally:
+            uninstall_storage_faults()
+        assert schedules[0] != schedules[1]
+
     def test_tables_small(self, capsys):
         assert main(["tables", "--small", "--seed", "7"]) == 0
         out = capsys.readouterr().out

@@ -106,6 +106,32 @@ class TestMetrics:
         with pytest.raises(ValueError):
             reg.inc("x", -1)
 
+    def test_existing_counter_still_rejects_bad_increments(self):
+        """The fast path for an existing counter checks what the first
+        call checked: each bad call raises and changes nothing."""
+        reg = MetricsRegistry()
+        reg.inc("x", 2)
+        reg.inc("f", 3, merge="first")
+        reg.set_gauge("g", 1.0)
+        bad = [
+            (TypeError, "must be int", dict(n=True)),
+            (TypeError, "must be int", dict(n=False)),
+            (TypeError, "must be int", dict(n=1.0)),
+            (ValueError, "cannot decrease", dict(n=-1)),
+            (ValueError, "re-requested with merge='first'", dict(merge="first")),
+            (ValueError, "re-requested with merge='avg'", dict(merge="avg")),
+        ]
+        for error, message, kwargs in bad:
+            with pytest.raises(error, match=message):
+                reg.inc("x", **kwargs)
+        with pytest.raises(ValueError, match="re-requested with merge='sum'"):
+            reg.inc("f")
+        with pytest.raises(TypeError, match="not a counter"):
+            reg.inc("g")
+        assert (reg.value("x"), reg.value("f"), reg.value("g")) == (2, 3, 1.0)
+        assert reg.inc("x", 0) == 2 and reg.inc("x") == 3
+        assert reg.inc("f", 4, merge="first") == 7
+
     def test_merge_policies_across_shards(self):
         regs = []
         for shard, n in enumerate((3, 5)):

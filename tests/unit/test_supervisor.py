@@ -296,13 +296,13 @@ class TestOrphanedWorkers:
 
 
 class TestPoison:
-    def test_poisoned_result_is_quarantined_and_retried(self):
+    def test_poisoned_result_is_retried_once(self):
         results, report = self._poison_then_ok().run()
         assert results[0] == "result-0"
         assert report.attempts[0] == ["poison", "ok"]
         assert report.retries == 1
 
-    def test_poisoned_process_result_is_quarantined_and_retried(self):
+    def test_poisoned_result_is_named_unreadable(self):
         """The poisoned bytes that crossed the pipe do not unpickle, and
         the supervisor names them as unreadable."""
         results, report = self._poison_then_ok().run()
