@@ -19,6 +19,7 @@ the pre-Christmas inflation of Table 6 / Figure 3a.
 
 from __future__ import annotations
 
+import _random
 import datetime as _dt
 import random
 from dataclasses import dataclass
@@ -36,6 +37,9 @@ __all__ = ["Bidder", "AuctionContext", "WEB_SIGNAL_FRACTION"]
 #: Probability any bidder holds a *web* persona's browsing signal —
 #: standard web tracking, not gated on Amazon partnership (§5.6).
 WEB_SIGNAL_FRACTION = 0.90
+
+#: The C seeding under :meth:`random.Random.seed` (its base class's method).
+_seed_mt = _random.Random.seed
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,12 +78,16 @@ class Bidder:
     def compute_bid(self, context: AuctionContext) -> float:
         """CPM bid for this auction (deterministic per seed+context)."""
         rng = self._rng
-        rng.seed(
+        # What ``rng.seed(n)`` does for an int ``n``, without its Python
+        # type dispatch: the same MT19937 state and no cached gauss draw.
+        _seed_mt(
+            rng,
             derive_seed_int(
                 self._seed.root,
                 ("bid", self.code, context.persona, context.iteration, context.slot_id),
-            )
+            ),
         )
+        rng.gauss_next = None
         params = self._params_for(context, rng)
         cpm = rng.lognormvariate(params.mu, params.sigma)
         return round(cpm * holiday_factor(context.when), 4)

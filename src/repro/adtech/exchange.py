@@ -279,15 +279,12 @@ class AdTechWorld:
             if state is None:
                 return HttpResponse(status=204, body={"nobid": True})
             cpm = bidder.compute_bid(self._auction_for(request._pairs, state))
-            return HttpResponse(
-                status=200,
-                body={
-                    "bidder": bidder.code,
-                    "cpm": cpm,
-                    "currency": "USD",
-                    "user_syncs": self._sync_urls(bidder, uid),
-                },
-            )
+            return HttpResponse._trusted(200, {
+                "bidder": bidder.code,
+                "cpm": cpm,
+                "currency": "USD",
+                "user_syncs": self._sync_urls(bidder, uid),
+            })
 
         return handler
 

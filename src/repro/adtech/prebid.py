@@ -106,6 +106,9 @@ class PrebidSession:
         if self._requested:
             return self.get_bid_responses()
         self._requested = True
+        adtech = self.adtech
+        get = self.browser.get
+        from_parts = HttpRequest.from_parts
         persona = self.browser.profile.persona
         # The page's part of every bid query, encoded once per page.
         page_pairs = (
@@ -115,29 +118,24 @@ class PrebidSession:
         )
         page_query = urlencode(page_pairs)
         for unit in self._page_body.get("ad_units", []):
-            if not self.adtech.slot_loads(unit, persona):
+            if not adtech.slot_loads(unit, persona):
                 continue
             responses: List[BidResponse] = []
             # One query per ad unit, shared by its bidders: byte for byte
             # ``urlencode`` of the whole pairs.
             pairs = (("slot", unit),) + page_pairs
             query = f"slot={quote_plus(unit)}&{page_query}"
-            for bidder in self.adtech.bidders_for_slot(unit):
-                reply = self.browser.get(
-                    HttpRequest.from_parts("GET", "https", bidder.domain, "/bid", pairs, query)
-                )
+            for bidder in adtech.bidders_for_slot(unit):
+                reply = get(from_parts("GET", "https", bidder.domain, "/bid", pairs, query))
                 if not reply.ok:
                     continue
+                body = reply.body
+                # Positional: slot_id, bidder, cpm, currency.
                 responses.append(
-                    BidResponse(
-                        slot_id=unit,
-                        bidder=reply.body["bidder"],
-                        cpm=reply.body["cpm"],
-                        currency=reply.body.get("currency", "USD"),
-                    )
+                    BidResponse(unit, body["bidder"], body["cpm"], body.get("currency", "USD"))
                 )
-                for sync_url in reply.body.get("user_syncs", []):
-                    self.browser.get(sync_url)
+                for sync_url in body.get("user_syncs", ()):
+                    get(sync_url)
             if responses:
                 self._bids[unit] = responses
         return self.get_bid_responses()

@@ -522,9 +522,11 @@ class ExperimentRunner:
                 self._advance_to_day(23 + (i - 3))  # Jan 2 onward
             self._crawl_all(personas, sites, iteration=i)
         for persona in personas:
-            self._artifacts[persona.name].request_log = list(
-                self._crawlers[persona.name].browser.request_log
-            )
+            # Hand the log over, not a copy; the browser starts a fresh one
+            # so no later request can land in the artifact's log.
+            browser = self._crawlers[persona.name].browser
+            self._artifacts[persona.name].request_log = browser.request_log
+            browser.request_log = []
 
     # ------------------------------------------------------------------ #
     # Phase 3: skills

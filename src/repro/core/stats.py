@@ -14,7 +14,8 @@ for means and rank sums, Cephes ``ndtr`` (what ``scipy.special.ndtr``
 runs) for the normal tail, and SciPy's integer ``binom`` loop for the
 exact branch.  The test suite checks every kernel, and both p-value
 branches, against NumPy and SciPy.  Only ``bootstrap_ci`` uses NumPy,
-imported when it is called.
+imported when it is called, and ``summarize`` when a sample's maximum is
+a tie between ``0.0`` and ``-0.0`` (see ``_np_max``).
 """
 
 from __future__ import annotations
@@ -372,6 +373,22 @@ def bootstrap_ci(
     )
 
 
+def _np_max(arr: List[float], ordered: List[float]) -> float:
+    """``ndarray.max`` of the NaN-free sample ``arr``, sorted as ``ordered``.
+
+    Distinct floats compare unequal except ``0.0 == -0.0``, so the top of
+    the sort is the maximum's bits unless both zeros tie for it.  Which
+    zero NumPy then returns depends on the SIMD lane width its reduction
+    was built for on this CPU, so that case alone asks NumPy.
+    """
+    top = ordered[-1]
+    if top == 0.0 and len({math.copysign(1.0, value) for value in arr if value == 0.0}) == 2:
+        import numpy as np
+
+        return float(np.max(np.asarray(arr, dtype=float)))
+    return top
+
+
 def summarize(values: Sequence[float]) -> DistributionSummary:
     """Median, mean, count, and max of a bid sample.
 
@@ -390,5 +407,5 @@ def summarize(values: Sequence[float]) -> DistributionSummary:
         median=math.nan if has_nan else _np_sum(middle) / len(middle),
         mean=_np_sum(arr) / n,
         n=n,
-        maximum=math.nan if has_nan else ordered[-1],
+        maximum=math.nan if has_nan else _np_max(arr, ordered),
     )

@@ -116,10 +116,13 @@ def persona_sync_events(artifacts: PersonaArtifacts) -> List[SyncEvent]:
     batch granularity and :func:`fold_sync_events` over the roster-ordered
     stream reproduces :func:`detect_cookie_syncing` exactly.
     """
+    persona = artifacts.persona.name
+    candidate = _SYNC_CANDIDATE.search
     return [
         event
         for request in artifacts.request_log
-        for event in _parse_syncs(request, artifacts.persona.name)
+        if candidate(request.url)
+        for event in _parse_syncs(request, persona)
     ]
 
 
@@ -166,9 +169,9 @@ def _parse_syncs(request: LoggedRequest, persona: str) -> List[SyncEvent]:
     Sync URLs can repeat an ID parameter (``uid=a&uid=b`` piggybacks two
     identifiers on one call); a plain ``dict(parse_qsl(...))`` would keep
     only the last value per key, silently missing the others.
+    :func:`persona_sync_events` hands it only URLs that
+    ``_SYNC_CANDIDATE`` matches, so most URLs are never parsed.
     """
-    if not _SYNC_CANDIDATE.search(request.url):
-        return []
     parsed = urlparse(request.url)
     if not _SYNC_PATHS.search(parsed.path):
         return []

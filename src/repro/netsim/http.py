@@ -232,6 +232,17 @@ class HttpResponse:
         if self.redirect_url is not None and not 300 <= self.status <= 399:
             raise ValueError("redirect_url requires a 3xx status")
 
+    @classmethod
+    def _trusted(cls, status: int, body: Mapping[str, Any]) -> "HttpResponse":
+        """``HttpResponse(status=status, body=body)``, built without its
+        ``__init__``/``__post_init__`` round trip: for a server handler
+        whose ``status`` is a literal the constructor accepts."""
+        response = object.__new__(cls)
+        response.__dict__.update(
+            status=status, headers={}, set_cookies=EMPTY_MAPPING, body=body, redirect_url=None
+        )
+        return response
+
     @property
     def ok(self) -> bool:
         return 200 <= self.status < 300

@@ -146,25 +146,27 @@ class Browser:
     def _fetch(self, request: HttpRequest, chain_root: str, depth: int) -> HttpResponse:
         if depth > MAX_REDIRECTS:
             raise RuntimeError(f"redirect loop fetching {chain_root}")
-        request = request.with_cookies(self._cookies_for(request.host))
+        host = request.host
+        cookies = self._cookies_for(host)
+        request = request.with_cookies(cookies)
         response = self._dispatch(request)
-        for name, value in response.set_cookies.items():
-            self.profile.jar.set(request.host, name, value)
+        set_cookies = response.set_cookies
+        if set_cookies is not EMPTY_MAPPING:
+            for name, value in set_cookies.items():
+                self.profile.jar.set(host, name, value)
+        redirect_url = response.redirect_url
+        clock = self.clock
+        # Positional, in field order: timestamp, url, method, cookies_sent,
+        # status, set_cookies, redirect_to, chain_root.
         self.request_log.append(
             LoggedRequest(
-                timestamp=self.clock.now,
-                url=request.url,
-                method=request.method,
-                cookies_sent=request.cookies,
-                status=response.status,
-                set_cookies=response.set_cookies,
-                redirect_to=response.redirect_url,
-                chain_root=chain_root,
+                clock.now, request.url, request.method, cookies,
+                response.status, set_cookies, redirect_url, chain_root,
             )
         )
-        self.clock.advance(0.02)
-        if response.redirect_url is not None:
-            return self._fetch(HttpRequest("GET", response.redirect_url), chain_root, depth + 1)
+        clock.advance(0.02)
+        if redirect_url is not None:
+            return self._fetch(HttpRequest("GET", redirect_url), chain_root, depth + 1)
         return response
 
     def _dispatch(self, request: HttpRequest) -> HttpResponse:

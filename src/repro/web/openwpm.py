@@ -136,7 +136,8 @@ class OpenWPMCrawler:
         self, sites: Sequence[WebsiteSpec], iteration: int
     ) -> CrawlResult:
         """Visit every crawl site once; collect bids and rendered ads."""
-        result = CrawlResult(persona=self.profile.persona, iteration=iteration)
+        persona = self.profile.persona
+        result = CrawlResult(persona=persona, iteration=iteration)
         interacted = self.adtech.is_interacted(self.profile.profile_id)
         slot_index = 0
         for site in sites:
@@ -144,19 +145,17 @@ class OpenWPMCrawler:
             bids = session.get_bid_responses()
             if not bids:
                 bids = session.request_bids()
+            domain = site.domain
+            now = self.clock.now
             for unit, responses in sorted(bids.items()):
                 result.loaded_slots.append(unit)
+                # Positional: persona, iteration, site, slot_id, bidder,
+                # cpm, timestamp, interacted.
                 for response in responses:
                     result.bids.append(
                         BidRecord(
-                            persona=self.profile.persona,
-                            iteration=iteration,
-                            site=site.domain,
-                            slot_id=unit,
-                            bidder=response.bidder,
-                            cpm=response.cpm,
-                            timestamp=self.clock.now,
-                            interacted=interacted,
+                            persona, iteration, domain, unit,
+                            response.bidder, response.cpm, now, interacted,
                         )
                     )
             for unit, creative in zip(
@@ -164,9 +163,9 @@ class OpenWPMCrawler:
             ):
                 result.ads.append(
                     AdRecord(
-                        persona=self.profile.persona,
+                        persona=persona,
                         iteration=iteration,
-                        site=site.domain,
+                        site=domain,
                         slot_id=unit,
                         creative=creative,
                     )

@@ -5,6 +5,7 @@ Every accessor is checked against a reference computed directly with
 request reports.
 """
 
+import dataclasses
 import pickle
 import urllib.parse
 from urllib.parse import parse_qsl, urlencode, urlparse, urlsplit
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netsim.http import HttpRequest, HttpResponse
+from repro.netsim.http import EMPTY_MAPPING, HttpRequest, HttpResponse
 from repro.util.clock import SimClock
 from repro.web.browser import Browser, BrowserProfile, WebUniverse
 
@@ -234,6 +235,54 @@ class TestDataclassBehaviour:
         # Unpickling parses the URL again instead of trusting stored parts.
         other = pickle.loads(pickle.dumps(with_other_parts(HttpRequest("GET", URL))))
         assert (other.host, other.query_pairs) == ("a.example.com", [("x", "1")])
+
+
+class TestTrustedResponse:
+    """``HttpResponse._trusted`` is the public constructor minus its checks."""
+
+    BODY = {"bidder": "dsp01", "cpm": 0.4312, "currency": "USD", "user_syncs": []}
+
+    @pytest.mark.parametrize("status", [200, 204])
+    def test_equals_the_public_constructor(self, status):
+        trusted = HttpResponse._trusted(status, dict(self.BODY))
+        public = HttpResponse(status=status, body=dict(self.BODY))
+        assert trusted == public
+        assert repr(trusted) == repr(public)
+        assert vars(trusted) == vars(public)
+        assert list(vars(trusted)) == list(vars(public))
+        assert trusted.set_cookies is EMPTY_MAPPING
+        assert trusted.headers == {} and trusted.headers is not public.headers
+        assert trusted.ok == public.ok and trusted.wire_size() == public.wire_size()
+        assert trusted.to_payload() == public.to_payload()
+
+    def test_pickle_round_trip(self):
+        trusted = HttpResponse._trusted(200, dict(self.BODY))
+        public = HttpResponse(status=200, body=dict(self.BODY))
+        assert pickle.dumps(trusted) == pickle.dumps(public)
+        restored = pickle.loads(pickle.dumps(trusted))
+        assert type(restored) is HttpResponse
+        assert restored == public and repr(restored) == repr(public)
+        assert restored.set_cookies is EMPTY_MAPPING
+
+    def test_frozen(self):
+        trusted = HttpResponse._trusted(200, {})
+        for name, value in [("status", 500), ("body", {}), ("redirect_url", "https://x.com/")]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(trusted, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trusted.extra = 1
+        assert trusted.status == 200
+
+    @pytest.mark.parametrize("status", [99, 600])
+    def test_public_constructor_still_rejects_bad_statuses(self, status):
+        with pytest.raises(ValueError, match=f"invalid HTTP status: {status}"):
+            HttpResponse(status=status)
+
+    @pytest.mark.parametrize("status", [200, 404])
+    def test_public_constructor_still_rejects_a_redirect_off_3xx(self, status):
+        with pytest.raises(ValueError, match="redirect_url requires a 3xx status"):
+            HttpResponse(status=status, redirect_url="https://a.example.com/")
+        assert HttpResponse(302, redirect_url="https://a.example.com/").redirect_url
 
 
 query_text = st.text(
