@@ -406,8 +406,10 @@ campaign writes nothing to disk.  The layer has two halves:
   `SupervisorPolicy` bundles the knobs; `on_shard_failure` picks what
   happens when a shard exhausts its budget: `"retry"` (default —
   raises `ShardFailure` after the budget), `"degrade"` (completes
-  without the lost personas, recorded in `dataset.missing_personas` or
-  the store manifest, the run manifest, and `supervisor.*` counters),
+  without the lost personas, recorded in `dataset.missing_personas`,
+  the run manifest, and `supervisor.*` counters; a segment store's
+  manifest lists what its coverage lacks, so a shard whose result was
+  lost after it published every batch leaves a `complete` store),
   or `"raise"` (aborts on first failure).
 
 From the CLI: `python -m repro run --parallel --store segments
@@ -514,6 +516,19 @@ the O(campaign-size) cost curve:
   permanently switches to cold-path full hashing, and the corrupt
   segment is quarantined to `*.corrupt` with a warning — corruption is
   recomputed over, never silently trusted.
+
+  The cache has **one writer**: the campaign owner (the serial runner,
+  a sharded run's parent, a timeline epoch, `write_dataset_segments`)
+  writes it once per campaign, right after it publishes the manifest
+  (`store.publish_manifest()`, which stamps `status` and
+  `missing_personas` from the store's verified coverage).  Forked
+  shard workers never write it; the parent's one end-of-run scan
+  verifies their segments cold.  Only a handle that sees a digest
+  mismatch writes out of turn, to persist the cleared cache.  A
+  writing handle trusts its own writes: `write_batch` and
+  `adopt_batch` add their batch to the handle's coverage view, so a
+  writer scans the store once, not once per batch
+  (`tests/unit/test_segment_traffic.py` counts both).
 
 Rebind `store.obs` to a live `ObsCollector` to record the counters.
 All three paths are pinned byte-identical to cold recompute by

@@ -621,8 +621,9 @@ def run_segment_campaign(
     persona-sized ever crosses the process boundary.
 
     Returns the :class:`~repro.core.segments.SegmentStore`; its
-    manifest status is ``"complete"``, or ``"partial"`` when a degraded
-    parallel run dropped personas.
+    manifest is stamped from its verified coverage: ``"complete"``, or
+    ``"partial"`` with ``missing_personas`` when a degraded parallel run
+    or a full disk left personas unwritten.
     """
     from repro.core.iosim import current_storage_faults
     from repro.core.segments import SegmentStore
@@ -641,7 +642,7 @@ def run_segment_campaign(
     store = SegmentStore(store_dir, seed.root, fingerprint, names)
     store.ensure_manifest()
 
-    missing = run_segment_positions(
+    run_segment_positions(
         store,
         seed,
         config,
@@ -654,15 +655,11 @@ def run_segment_campaign(
         max_shard_retries=max_shard_retries,
         worker_faults=worker_faults,
     )
-    extras: Dict[str, object] = {}
-    if missing:
-        extras["missing_personas"] = sorted(missing)
     plan = current_storage_faults()
-    if plan is not None and plan.snapshot():
-        # Segment workers never trace, so the store manifest carries the
-        # storage fault accounting.
-        extras["storage"] = plan.summary()
-    store.write_manifest("partial" if missing else "complete", extras or None)
+    # Segment workers never trace, so the store manifest carries the
+    # storage fault accounting.
+    faulted = plan is not None and plan.snapshot()
+    store.publish_manifest({"storage": plan.summary()} if faulted else None)
     return store
 
 
@@ -679,15 +676,17 @@ def run_segment_positions(
     shard_timeout: Optional[float] = None,
     max_shard_retries: int = 2,
     worker_faults: Optional[WorkerFaultPlan] = None,
-) -> Tuple[str, ...]:
+) -> None:
     """Execute a subset of roster positions into a segment store.
 
     The execution core shared by :func:`run_segment_campaign` (which
     passes the full roster) and the timeline layer's incremental epoch
     runner (which passes only the dirty set).  Already-covered positions
-    are skipped either way; the caller owns the manifest.  Returns the
-    persona names a degraded parallel run dropped (empty on success —
-    the serial path either completes or raises).
+    are skipped either way.  The caller owns the manifest and the digest
+    cache: :meth:`~repro.core.segments.SegmentStore.publish_manifest`
+    stamps a degraded shard or a full disk from coverage.  ``store``
+    scans once and trusts its own writes; forked shard workers write no
+    store metadata, and ``store`` verifies their segments in one rescan.
 
     The seed-only base skill catalog is built at most once per call —
     only when some position is still uncovered — and shared by every
@@ -729,25 +728,15 @@ def run_segment_positions(
             except OSError as exc:
                 if not is_enospc(exc):
                     raise
-                # Disk exhaustion does not heal on retry: degrade to the
-                # same partial semantics as on_shard_failure="degrade".
-                # Whatever the failed batch published before running out
-                # of space stayed atomic, so a fresh coverage scan tells
-                # exactly which personas are durably stored; the rest
-                # are reported missing and the caller stamps a partial
-                # manifest.
-                store.invalidate_scan()
-                fresh = store.covered_positions()
-                return tuple(
-                    roster[pos].name
-                    for pos in pending[start:]
-                    if pos not in fresh
-                )
+                # Disk exhaustion does not heal on retry: stop, as
+                # on_shard_failure="degrade" does.  Coverage (an atomic
+                # marker per batch) tells the caller what is missing.
+                return
             # The dead world/runner graph is cyclic; collect it now so
             # peak memory stays one-batch-sized instead of riding the
             # generational GC's schedule across a long roster.
             gc.collect()
-        return ()
+        return
 
     from repro.core.parallel import SupervisorPolicy, _ShardSupervisor, shard_personas
 
@@ -755,7 +744,7 @@ def run_segment_positions(
     if n_workers < 1:
         raise ValueError(f"workers must be >= 1, got {n_workers}")
     if not positions:
-        return ()
+        return
     policy = SupervisorPolicy(
         on_shard_failure=on_shard_failure,
         shard_timeout=shard_timeout,
@@ -782,8 +771,7 @@ def run_segment_positions(
             catalog=catalog,
         ),
     )
-    _, report = supervisor.run()
-    # Workers wrote batches from other processes; drop any coverage scan
-    # the caller's handle took before the run.
+    supervisor.run()
+    # Workers wrote batches from other processes; drop the coverage scan
+    # this handle took before the run.
     store.invalidate_scan()
-    return tuple(report.missing_personas)

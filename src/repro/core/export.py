@@ -241,12 +241,11 @@ def export_segment_store(store, out_dir: Union[str, Path]) -> Dict[str, int]:
     """
     from repro.core.segments import SegmentError
 
-    covered = store.covered_positions()
-    missing = set(range(len(store.roster))) - covered
+    missing = store.missing_positions()
     if missing:
         raise SegmentError(
-            f"store covers {len(covered)}/{len(store.roster)} personas; "
-            f"missing positions {sorted(missing)[:10]}"
+            f"store lacks {len(missing)}/{len(store.roster)} personas; "
+            f"missing positions {missing[:10]}"
         )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -282,6 +282,8 @@ def _fsck_sidecar_index(
     fingerprint: str,
     report: FsckReport,
 ) -> None:
+    from repro.core.segments import _segment_offsets
+
     positions = [int(p) for p in marker["positions"]]
     index_path = batches_dir / f"index-{positions[0]:08d}.json"
     payload = _load_json(index_path)
@@ -316,7 +318,7 @@ def _fsck_sidecar_index(
         streams[stream] = {
             "file": ref["file"],
             "digest": ref["digest"],
-            "offsets": _offsets_from_segment(segment_path),
+            "offsets": _segment_offsets(segment_path),
         }
     atomic_write_bytes(
         index_path,
@@ -337,23 +339,6 @@ def _fsck_sidecar_index(
         component="fsck",
         op="index",
     )
-
-
-def _offsets_from_segment(path: Path) -> Dict[str, List[int]]:
-    """Per-position byte extents, recomputed exactly as the store does."""
-    offsets: Dict[str, List[int]] = {}
-    with path.open("rb") as handle:
-        cursor = len(handle.readline())  # header line
-        for raw in handle:
-            if not raw.strip():
-                cursor += len(raw)
-                continue
-            record = json.loads(raw)
-            run = offsets.setdefault(str(record["pos"]), [cursor, 0, 0])
-            run[1] += len(raw)
-            run[2] += 1
-            cursor += len(raw)
-    return offsets
 
 
 def _fsck_digest_cache(

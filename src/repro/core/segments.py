@@ -70,6 +70,15 @@ O(campaign-size) cost curve:
   matching the marker contract.  ``repro fsck`` re-hashes every
   segment itself, never through the cache.
 
+  The cache has **one writer**, the campaign owner (the serial runner,
+  a sharded run's parent, a timeline epoch, or
+  :func:`write_dataset_segments`): it persists the cache once, right
+  after the manifest.  Forked shard workers never write it; the
+  parent's end-of-run scan verifies their segments cold.  Only a handle
+  that sees a mismatch writes out of turn, so its distrust reaches
+  disk.  A writing handle trusts its own writes, so a writer scans the
+  store once, not once per batch.
+
 Streams
 -------
 
@@ -110,6 +119,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from pathlib import Path
 from typing import (
+    AbstractSet,
     Dict,
     Iterable,
     Iterator,
@@ -122,7 +132,7 @@ from typing import (
 )
 
 from repro.core.checkpoint import atomic_write_bytes, quarantine_path
-from repro.core.iosim import read_text as _seam_read_text
+from repro.core.iosim import is_enospc, read_text as _seam_read_text
 from repro.obs import NULL_OBS
 from repro.core.experiment import (
     ExperimentConfig,
@@ -295,6 +305,15 @@ class SegmentStore:
         #: and every later verification takes the full-hash cold path.
         self._digest_cache_distrusted = False
 
+    def _envelope(self, **fields) -> Dict[str, object]:
+        """The campaign key every store file carries, plus ``fields``."""
+        return {
+            "schema": SEGMENT_SCHEMA_VERSION,
+            "seed_root": self.seed_root,
+            "config_fingerprint": self.config_fingerprint,
+            **fields,
+        }
+
     # ------------------------------------------------------------------ #
     # Manifest
     # ------------------------------------------------------------------ #
@@ -306,24 +325,22 @@ class SegmentStore:
     def write_manifest(
         self, status: str, extras: Optional[Dict[str, object]] = None
     ) -> None:
-        """Publish the campaign manifest.
+        """Publish the campaign manifest, then the digest cache.
 
         ``extras`` merges additional top-level fields into the payload
         (e.g. the timeline layer's ``timeline.personas_reused`` /
         ``timeline.personas_recomputed`` counters); they may not shadow
-        the fixed key fields.
+        the fixed key fields.  The cache goes last, so a failed cache
+        write never leaves a covered store without its manifest.
         """
         if status not in ("running", "partial", "complete"):
             raise ValueError(f"invalid store status: {status!r}")
-        payload = {
-            "schema": SEGMENT_SCHEMA_VERSION,
-            "seed_root": self.seed_root,
-            "config_fingerprint": self.config_fingerprint,
-            "roster": list(self.roster),
-            "streams": list(STREAMS),
-            "status": status,
-            "package_version": _package_version(),
-        }
+        payload = self._envelope(
+            roster=list(self.roster),
+            streams=list(STREAMS),
+            status=status,
+            package_version=_package_version(),
+        )
         if extras:
             shadowed = set(extras) & set(payload)
             if shadowed:
@@ -331,14 +348,22 @@ class SegmentStore:
                     f"manifest extras shadow fixed fields: {sorted(shadowed)}"
                 )
             payload.update(extras)
-        atomic_write_bytes(
-            self.manifest_path,
-            (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode(
-                "utf-8"
-            ),
-            component="segments",
-            op="manifest",
-        )
+        _publish_json(self.manifest_path, payload, "manifest")
+        self._flush_digest_cache()
+
+    def publish_manifest(
+        self, extras: Optional[Dict[str, object]] = None
+    ) -> None:
+        """Stamp the manifest from verified coverage: ``"complete"``, or
+        ``"partial"`` with the uncovered ``missing_personas``.  Every
+        campaign owner ends with this call."""
+        missing = self.missing_positions()
+        if missing:
+            extras = dict(extras or {})
+            extras["missing_personas"] = sorted(
+                self.roster[pos] for pos in missing
+            )
+        self.write_manifest("partial" if missing else "complete", extras)
 
     def read_manifest(self) -> Optional[Dict[str, object]]:
         try:
@@ -410,11 +435,7 @@ class SegmentStore:
                 raise ValueError(
                     f"position {pos} outside roster of {len(self.roster)}"
                 )
-        already = self.covered_positions() & set(ordered)
-        if already:
-            raise PositionsCoveredError(
-                f"positions already covered by this store: {sorted(already)}"
-            )
+        self._refuse_covered(ordered)
         unknown = set(records_by_stream) - set(STREAMS)
         if unknown:
             raise ValueError(f"unknown streams: {sorted(unknown)}")
@@ -435,15 +456,11 @@ class SegmentStore:
             if not records:
                 continue
             records = sorted(records, key=lambda r: r["pos"])  # stable
-            header = {
-                "schema": SEGMENT_SCHEMA_VERSION,
-                "seed_root": self.seed_root,
-                "config_fingerprint": self.config_fingerprint,
-                "stream": stream,
-                "positions": ordered,
-                "count": len(records),
-            }
-            header_line = _dumps(header)
+            header_line = _dumps(
+                self._envelope(
+                    stream=stream, positions=ordered, count=len(records)
+                )
+            )
             lines = [header_line]
             # Records of one pos are a contiguous run of lines (sorted
             # above); track each run's byte extent for the sidecar index.
@@ -479,25 +496,7 @@ class SegmentStore:
             }
 
         self._write_index(ordered[0], ordered, index_streams)
-        marker = {
-            "schema": SEGMENT_SCHEMA_VERSION,
-            "seed_root": self.seed_root,
-            "config_fingerprint": self.config_fingerprint,
-            "positions": ordered,
-            "segments": segments,
-        }
-        marker_path = self.batches_dir / f"batch-{ordered[0]:08d}.json"
-        atomic_write_bytes(
-            marker_path,
-            (json.dumps(marker, indent=2, sort_keys=True) + "\n").encode(
-                "utf-8"
-            ),
-            component="segments",
-            op="marker",
-        )
-        self._flush_digest_cache()
-        self.invalidate_scan()
-        return marker_path
+        return self._publish_marker(ordered, segments)
 
     def adopt_batch(self, prev_store: "SegmentStore", entry) -> Dict[str, int]:
         """Zero-copy transfer of one validated batch from ``prev_store``.
@@ -524,11 +523,7 @@ class SegmentStore:
             )
         if prev_store.roster != self.roster:
             raise ValueError("adopt_batch requires identical rosters")
-        already = self.covered_positions() & set(entry.positions)
-        if already:
-            raise PositionsCoveredError(
-                f"positions already covered by this store: {sorted(already)}"
-            )
+        self._refuse_covered(entry.positions)
         counts = {"linked": 0, "copied": 0}
         self.segments_dir.mkdir(parents=True, exist_ok=True)
         segments: Dict[str, Dict[str, object]] = {}
@@ -578,30 +573,45 @@ class SegmentStore:
                     "offsets": offsets,
                 }
         self._write_index(entry.first, list(entry.positions), index_streams)
-        marker = {
-            "schema": SEGMENT_SCHEMA_VERSION,
-            "seed_root": self.seed_root,
-            "config_fingerprint": self.config_fingerprint,
-            "positions": list(entry.positions),
-            "segments": segments,
-            "origin": {
-                "config_fingerprint": (
-                    entry.origin_fingerprint or prev_store.config_fingerprint
-                )
-            },
-        }
-        marker_path = self.batches_dir / f"batch-{entry.first:08d}.json"
-        atomic_write_bytes(
-            marker_path,
-            (json.dumps(marker, indent=2, sort_keys=True) + "\n").encode(
-                "utf-8"
-            ),
-            component="segments",
-            op="marker",
+        origin = entry.origin_fingerprint or prev_store.config_fingerprint
+        self._publish_marker(
+            list(entry.positions),
+            segments,
+            origin={"config_fingerprint": origin},
         )
-        self._flush_digest_cache()
-        self.invalidate_scan()
         return counts
+
+    def _refuse_covered(self, positions: Iterable[int]) -> None:
+        already = self.covered_positions() & set(positions)
+        if already:
+            raise PositionsCoveredError(
+                f"positions already covered by this store: {sorted(already)}"
+            )
+
+    def _publish_marker(
+        self, positions: List[int], segments: Dict[str, dict], **fields
+    ) -> Path:
+        """Publish a batch's marker, its last write, and add the batch to
+        this handle's coverage view without a rescan: only the marker is
+        re-read, its segments verifying through the digests cached as
+        they were written.  A marker that fails drops the whole view.
+        """
+        entries = self._scan()  # the view without this batch
+        marker_path = self.batches_dir / f"batch-{positions[0]:08d}.json"
+        _publish_json(
+            marker_path,
+            self._envelope(positions=positions, segments=segments, **fields),
+            "marker",
+        )
+        entry = self._validate_marker(marker_path, self._pos_entry.keys())
+        if entry is None:
+            self.invalidate_scan()
+            return marker_path
+        entries.append(entry)
+        entries.sort(key=lambda e: e.first)
+        self._pos_entry.update((pos, entry) for pos in entry.positions)
+        self._index_cache.pop(entry.first, None)
+        return marker_path
 
     # ------------------------------------------------------------------ #
     # Coverage / validation
@@ -618,9 +628,7 @@ class SegmentStore:
 
     def covered_positions(self) -> Set[int]:
         """Roster positions with validated, content-addressed coverage."""
-        return {
-            pos for entry in self._scan() for pos in entry.positions
-        }
+        return {pos for entry in self._scan() for pos in entry.positions}
 
     def batches(self) -> List[_BatchEntry]:
         """The validated coverage entries, in first-position order.
@@ -647,19 +655,25 @@ class SegmentStore:
             for marker_path in sorted(self.batches_dir.glob("batch-*.json")):
                 entry = self._validate_marker(marker_path, seen)
                 if entry is None:
-                    _quarantine(marker_path)
+                    quarantine_path(marker_path)
                     continue
                 seen.update(entry.positions)
                 entries.append(entry)
-        self._flush_digest_cache()
         self._scan_cache = entries
         self._pos_entry = {
             pos: entry for entry in entries for pos in entry.positions
         }
         return entries
 
+    def missing_positions(self) -> List[int]:
+        """Roster positions without verified coverage, ascending: what
+        :meth:`publish_manifest` stamps missing and what
+        :func:`~repro.core.export.export_segment_store` refuses."""
+        covered = self.covered_positions()
+        return [pos for pos in range(len(self.roster)) if pos not in covered]
+
     def _validate_marker(
-        self, marker_path: Path, covered: Set[int]
+        self, marker_path: Path, covered: AbstractSet[int]
     ) -> Optional[_BatchEntry]:
         try:
             marker = json.loads(marker_path.read_text(encoding="utf-8"))
@@ -775,14 +789,15 @@ class SegmentStore:
             "schema": SEGMENT_SCHEMA_VERSION,
             "files": self._digest_cache,
         }
-        atomic_write_bytes(
-            self.digest_cache_path,
-            (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode(
-                "utf-8"
-            ),
-            component="segments",
-            op="digest-cache",
-        )
+        try:
+            _publish_json(self.digest_cache_path, payload, "digest-cache")
+        except OSError as exc:
+            if not is_enospc(exc):
+                raise
+            # Advisory: a full disk costs the next scan one cold verify
+            # per file, never coverage.
+            _log.warning("digest cache not persisted: %s", exc)
+            return
         self._digest_cache_dirty = False
 
     def _verify_segment(self, path: Path, expected: str) -> bool:
@@ -815,12 +830,15 @@ class SegmentStore:
             return False
         self.obs.inc("segments.digest_cache.misses")
         if _digest(payload) != expected:
-            # Corruption observed: nothing cached is trusted anymore.
+            # Corruption observed: nothing cached is trusted anymore, by
+            # this handle or (once the cleared cache is on disk) any
+            # later one.
             self._digest_cache_distrusted = True
             if cache:
                 cache.clear()
                 self._digest_cache_dirty = True
-            quarantined = _quarantine(path)
+                self._flush_digest_cache()
+            quarantined = quarantine_path(path)
             _log.warning(
                 "segment %s fails its content digest; quarantined to %s "
                 "and treating its batch as uncovered",
@@ -844,20 +862,10 @@ class SegmentStore:
         positions: Sequence[int],
         streams: Dict[str, Dict[str, object]],
     ) -> None:
-        payload = {
-            "schema": SEGMENT_SCHEMA_VERSION,
-            "seed_root": self.seed_root,
-            "config_fingerprint": self.config_fingerprint,
-            "positions": list(positions),
-            "streams": streams,
-        }
-        atomic_write_bytes(
+        _publish_json(
             self._index_path(first),
-            (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode(
-                "utf-8"
-            ),
-            component="segments",
-            op="index",
+            self._envelope(positions=list(positions), streams=streams),
+            "index",
         )
 
     def _load_index(self, entry: _BatchEntry) -> Dict[str, Dict[str, dict]]:
@@ -918,28 +926,14 @@ class SegmentStore:
 
     def _rebuild_index(self, entry: _BatchEntry) -> Dict[str, Dict[str, dict]]:
         """Recompute per-position byte extents by reading the segments."""
-        streams: Dict[str, Dict[str, dict]] = {}
-        for stream, (path, _count) in entry.segments.items():
-            offsets: Dict[str, list] = {}
-            with path.open("rb") as handle:
-                cursor = len(handle.readline())  # header line
-                for raw in handle:
-                    if not raw.strip():
-                        cursor += len(raw)
-                        continue
-                    record = json.loads(raw)
-                    run = offsets.setdefault(
-                        str(record["pos"]), [cursor, 0, 0]
-                    )
-                    run[1] += len(raw)
-                    run[2] += 1
-                    cursor += len(raw)
-            streams[stream] = {
+        return {
+            stream: {
                 "file": path.name,
                 "digest": entry.digests.get(stream, ""),
-                "offsets": offsets,
+                "offsets": _segment_offsets(path),
             }
-        return streams
+            for stream, (path, _count) in entry.segments.items()
+        }
 
     # ------------------------------------------------------------------ #
     # Reading
@@ -1025,9 +1019,8 @@ class SegmentStore:
         """
         if stream not in STREAMS:
             raise ValueError(f"unknown stream: {stream!r}")
-        if self._pos_entry is None:
-            self._scan()
-        entry = (self._pos_entry or {}).get(pos)
+        self._scan()
+        entry = self._pos_entry.get(pos)
         if entry is None or stream not in entry.segments:
             return []
         extent = (
@@ -1089,8 +1082,31 @@ class SegmentStore:
                 )
 
 
-def _quarantine(path: Path) -> Optional[Path]:
-    return quarantine_path(path)
+def _segment_offsets(path: Path) -> Dict[str, List[int]]:
+    """A segment file's per-position ``[start, length, count]`` byte
+    extents, as its sidecar index records them (``repro fsck`` rebuilds
+    indexes with this too)."""
+    offsets: Dict[str, List[int]] = {}
+    with path.open("rb") as handle:
+        cursor = len(handle.readline())  # header line
+        for raw in handle:
+            if raw.strip():
+                pos = str(json.loads(raw)["pos"])
+                run = offsets.setdefault(pos, [cursor, 0, 0])
+                run[1] += len(raw)
+                run[2] += 1
+            cursor += len(raw)
+    return offsets
+
+
+def _publish_json(path: Path, payload: Dict[str, object], op: str) -> None:
+    """Atomically publish one store metadata file as sorted JSON."""
+    atomic_write_bytes(
+        path,
+        (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"),
+        component="segments",
+        op=op,
+    )
 
 
 def _package_version() -> str:
@@ -1261,7 +1277,7 @@ def write_dataset_segments(store: SegmentStore, dataset) -> None:
         ).items():
             records[stream].extend(recs)
     store.write_batch(list(range(len(names))), records)
-    store.write_manifest("complete")
+    store.publish_manifest()
 
 
 def write_segment_batch(
@@ -1320,10 +1336,13 @@ def run_segment_shard(
     returns a lightweight, artifact-free
     :class:`~repro.core.parallel.ShardResult` for the supervisor's
     attempt accounting.  One coverage scan per attempt is enough: shards
-    own disjoint positions, and a failed attempt is dead (exited, or
-    killed by the watchdog) before its retry starts.  ``catalog`` is
-    passed to every :func:`write_segment_batch` call (the campaign's
-    shared base catalog, which forked workers inherit).
+    own disjoint positions, a failed attempt is dead (exited, or killed
+    by the watchdog) before its retry starts, and the handle adds each
+    batch it writes to its view.  The worker writes no store metadata
+    (manifest, digest cache): the parent verifies its segments in one
+    scan and publishes both.  ``catalog`` is passed to every
+    :func:`write_segment_batch` call (the campaign's shared base
+    catalog, which forked workers inherit).
     """
     from repro.core.parallel import ShardResult
 

@@ -586,7 +586,7 @@ def run_timeline_epoch(
     covered = store.covered_positions()
     pending = [pos for pos in range(len(names)) if pos not in covered]
     reused = len(names) - len(pending)
-    missing = run_segment_positions(
+    run_segment_positions(
         store,
         seed,
         config,
@@ -599,9 +599,8 @@ def run_timeline_epoch(
         max_shard_retries=spec.base.max_shard_retries,
         worker_faults=worker_faults,
     )
-    store.write_manifest(
-        "partial" if missing else "complete",
-        extras={
+    store.publish_manifest(
+        {
             "timeline": {
                 "epoch": index,
                 "incremental": bool(incremental and index > 0),

@@ -30,10 +30,16 @@ import time
 
 import pytest
 
-from repro.core.campaign import run_campaign, run_segment_campaign
+from repro.core.campaign import (
+    CampaignSpec,
+    execute_spec,
+    run_campaign,
+    run_segment_campaign,
+)
 from repro.core.experiment import ExperimentConfig
 from repro.core.export import EXPORT_FILES, export_dataset, export_segment_store
 from repro.core.parallel import WorkerFaultPlan
+from repro.core.segments import SegmentStore
 from repro.util.rng import Seed
 
 SEED_ROOT = 2026
@@ -70,6 +76,17 @@ def _export_digests(dataset, out_dir):
 def _store_digests(store, out_dir):
     export_segment_store(store, out_dir)
     return _digests(out_dir)
+
+
+def _uncovered_names(store):
+    """Roster names a fresh handle finds no verified coverage for."""
+    fresh = SegmentStore(
+        store.root, store.seed_root, store.config_fingerprint, store.roster
+    )
+    covered = fresh.covered_positions()
+    return sorted(
+        name for pos, name in enumerate(store.roster) if pos not in covered
+    )
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +126,7 @@ class TestKillAndResume:
         assert partial.status() == "partial"
         missing = partial.read_manifest()["missing_personas"]
         assert missing  # the interruption really lost data
+        assert missing == _uncovered_names(partial)
         published = {
             path: path.stat().st_mtime_ns
             for path in partial.batches_dir.glob("batch-*.json")
@@ -189,6 +207,33 @@ class TestKillAndResume:
             _store_digests(resumed, tmp_path / "resumed")
             == serial_digests["none"]
         )
+
+
+class TestManifestMatchesCoverage:
+    def test_poisoned_shard_that_wrote_its_batches_is_complete(self, tmp_path):
+        """A shard whose result is lost after it published every batch
+        leaves a covered store: the manifest says so, and it exports."""
+        spec = CampaignSpec(
+            config=TINY,
+            seed=42,
+            parallel=True,
+            workers=2,
+            store="segments",
+            store_dir=str(tmp_path / "store"),
+            on_shard_failure="degrade",
+            max_shard_retries=0,
+        )
+        counts, store = execute_spec(
+            spec,
+            tmp_path / "out",
+            worker_faults=WorkerFaultPlan.targeted({(1, 1): "poison"}),
+        )
+        assert _uncovered_names(store) == []
+        manifest = store.read_manifest()
+        assert manifest["status"] == "complete", manifest
+        assert "missing_personas" not in manifest
+        assert sorted(counts) == sorted(EXPORT_FILES)
+        assert all((tmp_path / "out" / name).exists() for name in EXPORT_FILES)
 
 
 class TestWatchdogIntegration:

@@ -133,6 +133,10 @@ class TestEnospcDegrade:
         assert plan.snapshot()["storage.enospc"] >= 1
         covered = store.covered_positions()
         assert len(covered) + len(missing) == len(manifest["roster"])
+        roster = manifest["roster"]
+        assert missing == sorted(
+            name for pos, name in enumerate(roster) if pos not in covered
+        )
 
         # Space comes back: the rerun covers only the missing tail and
         # the exports equal a never-faulted store's, byte for byte.
@@ -146,6 +150,24 @@ class TestEnospcDegrade:
         )
         export_segment_store(fresh, tmp_path / "fresh-out")
         assert _digests(tmp_path / "out") == _digests(tmp_path / "fresh-out")
+
+
+    def test_full_disk_at_the_digest_cache_keeps_a_complete_manifest(
+        self, tmp_path
+    ):
+        # The cache is published after the manifest and is advisory: a
+        # full disk there costs the next scan a cold verify, nothing else.
+        plan = StorageFaultPlan.from_profile("none", SEED_ROOT).exhaust(
+            "segments", "digest-cache"
+        )
+        with storage_faults(plan):
+            store = run_segment_campaign(
+                CONFIG, Seed(SEED_ROOT), store_dir=tmp_path / "s"
+            )
+        assert plan.snapshot()["storage.enospc"] == 1
+        assert store.status() == "complete"
+        assert not store.digest_cache_path.exists()
+        export_segment_store(store, tmp_path / "out")
 
 
 class TestColdFallbackRegression:

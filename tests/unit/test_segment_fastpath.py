@@ -225,6 +225,7 @@ class TestDigestCache:
         store = make_store(tmp_path)
         store.write_batch([0, 1], records_for(0, 1))
         store.write_batch([2], records_for(2))
+        store.publish_manifest()  # the owner persists the cache here
         warm = make_store(tmp_path)
         warm.obs = ObsCollector()
         warm.covered_positions()
@@ -237,6 +238,7 @@ class TestDigestCache:
     def test_cache_survives_restarts_on_disk(self, tmp_path):
         store = make_store(tmp_path)
         store.write_batch([0], records_for(0))
+        store.publish_manifest()
         payload = json.loads(store.digest_cache_path.read_text())
         assert len(payload["files"]) == 2  # bids + flows
         for name, entry in payload["files"].items():
@@ -284,6 +286,7 @@ class TestDigestCache:
         store = make_store(tmp_path)
         store.write_batch([0], records_for(0))
         store.write_batch([1], records_for(1))
+        store.publish_manifest()
         segment = next(store.segments_dir.glob("bids-00000000-*.jsonl"))
         segment.write_bytes(b"garbage")
         fresh = make_store(tmp_path)
@@ -296,6 +299,13 @@ class TestDigestCache:
         assert segment.name not in payload["files"]
         for name in payload["files"]:
             assert (fresh.segments_dir / name).exists()
+        # The handle that saw the mismatch is no campaign owner, yet its
+        # distrust reached disk: a later handle trusts no old entry.
+        later = make_store(tmp_path)
+        later.obs = ObsCollector()
+        assert later.covered_positions() == {1}
+        counters = later.obs.metrics.as_dict()["counters"]
+        assert "segments.digest_cache.hits" not in counters
 
 
 class TestMergeFastPath:
