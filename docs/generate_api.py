@@ -289,8 +289,12 @@ network requests, storage reads and writes, shard workers — make alike:
   [0, 1]) at construction, and computes the cumulative draw edges once.
   Named profiles get `from_rate` and `parse`.
 * **`FaultDraw`** — the seeded engine: one `StreamFamily` per plan,
-  exactly one `random()` per decision from the key's own stream, and
-  any parameter draw from the same stream right after it.  Targeted
+  exactly one `StreamFamily.random(*key)` per decision from the key's
+  own stream, and any parameter draw from the same stream right after
+  it (`lo + (hi - lo) * draw`, as `Random.uniform`).  A key costs a
+  seed and a draw count: at most `rng.POOL_SIZE` generators are live
+  across every family, and an evicted key replays its draws exactly
+  on its next one.  Targeted
   overrides (`override(key, kind, after=N)`) are checked first and
   consume no draw; the worker `targeted` schedule and the storage
   `exhaust` thresholds are both overrides.

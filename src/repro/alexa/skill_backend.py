@@ -77,7 +77,7 @@ class SkillBackend:
         skill asks for linking and skips its content fetches, but Amazon-
         mediated data collection happens regardless.
         """
-        if self._streams.stream(customer_id).random() < self.REDIRECT_RATE:
+        if self._streams.random(customer_id) < self.REDIRECT_RATE:
             return SkillResult(
                 skill_id=self.spec.skill_id, handled=False, redirected_to_alexa=True
             )

@@ -60,8 +60,8 @@ class VoiceFrontend:
         self.misactivation_rate = misactivation_rate
         self.misactivations = 0
 
-    def _rng_for(self, speaker: Optional[str]):
-        """Noise stream for one speaker (device/customer).
+    def _draw(self, speaker: Optional[str]) -> float:
+        """The next noise draw for one speaker (device/customer).
 
         The frontend serves every device in the world; keying the error
         draws per speaker keeps one persona's transcripts independent of
@@ -69,8 +69,8 @@ class VoiceFrontend:
         share the legacy sequential stream.
         """
         if speaker is None:
-            return self._rng
-        return self._streams.stream(speaker)
+            return self._rng.random()
+        return self._streams.random(speaker)
 
     def detect_wake_word(
         self, utterance: str, speaker: Optional[str] = None
@@ -85,19 +85,18 @@ class VoiceFrontend:
             return None
         if words[0].rstrip(",") in WAKE_WORDS:
             return " ".join(words[1:])
-        if self._rng_for(speaker).random() < self.misactivation_rate:
+        if self._draw(speaker) < self.misactivation_rate:
             self.misactivations += 1
             return " ".join(words)
         return None
 
     def transcribe(self, speech: str, speaker: Optional[str] = None) -> Transcription:
         """Simulate cloud ASR with a small word-error rate."""
-        rng = self._rng_for(speaker)
         words = speech.lower().split()
         out = []
         errors = 0
         for word in words:
-            if word in _CONFUSIONS and rng.random() < self.word_error_rate:
+            if word in _CONFUSIONS and self._draw(speaker) < self.word_error_rate:
                 out.append(_CONFUSIONS[word])
                 errors += 1
             else:

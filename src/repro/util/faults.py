@@ -199,14 +199,14 @@ class FaultDraw:
                 return hit[1]
         if self._streams is None:
             return None
-        stream = self._streams.stream(*key)
-        draw = stream.random()
+        draw = self._streams.random(*key)
         if draw >= self._total:
             return None
         for edge, kind, field, value in self._rows:
             if draw < edge:
                 if isinstance(value, tuple):
-                    value = stream.uniform(*value)
+                    lo, hi = value  # what ``Random.uniform(lo, hi)`` computes
+                    value = lo + (hi - lo) * self._streams.random(*key)
                 return FaultDecision(kind, **{field: value})
         return None
 

@@ -12,20 +12,35 @@ Two substreams with different paths are statistically independent; the same
 path always yields the same stream.  This is the property that lets a bid
 auction in iteration 17 produce identical bids whether or not the audio-ad
 experiment ran first.
+
+Components that serve many actors draw through a :class:`StreamFamily`,
+one sequential substream per actor key.  A family keeps each key as a
+seed and a count of the draws it has taken, not as a generator: at most
+:data:`POOL_SIZE` generators are live at a time across every family,
+and a key whose generator was dropped rebuilds it from its seed and
+skips the draws already taken, so its sequence is unchanged.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from typing import TYPE_CHECKING, Dict, Iterable, Tuple
-
-if TYPE_CHECKING:
-    import numpy as np
+from collections import deque
+from typing import Deque, Dict, Iterable, List, Tuple
 
 __all__ = ["Seed", "StreamFamily", "derive_seed_int"]
 
 _PATH_SEPARATOR = "\x1f"  # unit separator: cannot collide with str(part)
+
+#: Most ``random.Random`` generators live at once across every
+#: :class:`StreamFamily` in the process (each keeps 2,560 bytes of
+#: MT19937 state).
+POOL_SIZE = 128
+
+# Slots whose generator is live, oldest first.  A slot is
+# ``[seed int, draws taken, generator or None]``; evicting one only
+# clears its generator.
+_POOL: Deque[list] = deque()
 
 
 def derive_seed_int(root: int, parts: Iterable[object]) -> int:
@@ -62,13 +77,6 @@ class Seed:
         """Return a ``random.Random`` for the substream named by ``parts``."""
         return random.Random(derive_seed_int(self.root, parts))
 
-    def numpy_rng(self, *parts: object) -> np.random.Generator:
-        """Return a NumPy ``Generator`` for the substream named by ``parts``
-        (NumPy is imported here, never by ``import repro``)."""
-        import numpy as np
-
-        return np.random.default_rng(derive_seed_int(self.root, parts))
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Seed) and other.root == self.root
 
@@ -90,18 +98,40 @@ class StreamFamily:
     making per-actor results invariant to co-resident actors — the
     property the persona-sharded parallel runner relies on to merge
     shard artifacts back into the serial result.
+
+    Key ``k``'s stream is ``seed.rng(*namespace, *map(str, k))``, so
+    ``1`` and ``"1"`` name the same stream.  A key costs its seed and a
+    draw count: the seed is derived on the key's first draw (a key that
+    is never drawn derives nothing), and the generator sits in a
+    process-wide FIFO pool of :data:`POOL_SIZE`.  When the pool drops
+    it, the key's next draw replays: ``random.Random(seed)`` then one
+    ``getrandbits(64 * draws)``, which consumes the same 32-bit MT
+    words as ``draws`` calls to ``random()`` (two each).  Only a key's
+    owner draws from it; eviction by another thread's family only
+    clears the slot, and the owner's next draw replays exactly.
     """
 
     def __init__(self, seed: Seed, *namespace: object) -> None:
-        self._seed = seed
+        self._root = seed.root
         self._namespace = tuple(namespace)
-        self._streams: Dict[Tuple[str, ...], random.Random] = {}
+        self._slots: Dict[Tuple[str, ...], List] = {}
 
-    def stream(self, *key: object) -> random.Random:
-        """The sequential stream for ``key``, created on first use."""
+    def random(self, *key: object) -> float:
+        """The next ``random()`` of ``key``'s stream."""
         parts = tuple(map(str, key))
-        stream = self._streams.get(parts)
-        if stream is None:
-            stream = self._seed.rng(*self._namespace, *parts)
-            self._streams[parts] = stream
-        return stream
+        slot = self._slots.get(parts)
+        if slot is None:
+            seed = derive_seed_int(self._root, self._namespace + parts)
+            slot = self._slots[parts] = [seed, 0, None]
+        rng = slot[2]
+        if rng is None:
+            rng = random.Random(slot[0])
+            if slot[1]:
+                rng.getrandbits(64 * slot[1])
+            # Live before pooled: an eviction can then only clear it.
+            slot[2] = rng
+            if len(_POOL) >= POOL_SIZE:
+                _POOL.popleft()[2] = None
+            _POOL.append(slot)
+        slot[1] += 1
+        return rng.random()

@@ -13,10 +13,11 @@ Two contracts ride on the fault subsystem:
 
 import dataclasses
 import hashlib
+import threading
 
 import pytest
 
-from repro.core.campaign import run_campaign
+from repro.core.campaign import CampaignSpec, execute_spec, run_campaign
 from repro.core.experiment import ExperimentConfig
 from repro.core.export import EXPORT_FILES, export_dataset
 from repro.core.personas import all_personas
@@ -40,6 +41,15 @@ def _export_digests(dataset, out_dir):
     return {
         name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
         for name in EXPORT_FILES
+    }
+
+
+def _tree(root):
+    """Every file under ``root``, by relative path, with its bytes."""
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in root.rglob("*")
+        if path.is_file()
     }
 
 
@@ -101,6 +111,32 @@ class TestFaultDeterminism:
             v for k, v in counters.items() if k.startswith("net.faults.")
         ) > 0
         assert dataset.obs.manifest.fault_profile == "mild"
+
+    def test_concurrent_runs_in_threads_match_a_serial_run(self, tmp_path):
+        """Two jobs of one spec at once, each in its own thread as the
+        service scheduler runs them, share the process's stream pool and
+        evict each other's fault generators; each still exports the
+        serial run's bytes."""
+        spec = CampaignSpec(config=TINY_MILD, seed=SEED_ROOT)
+        execute_spec(spec, tmp_path / "serial")
+        errors = []
+
+        def job(name):
+            try:
+                execute_spec(spec, tmp_path / name)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=job, args=(f"thread-{i}",)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        serial = _tree(tmp_path / "serial")
+        assert set(serial) == set(EXPORT_FILES)
+        for i in range(2):
+            assert _tree(tmp_path / f"thread-{i}") == serial, i
 
     def test_different_seed_faults_different_requests(self, mild_serial, tmp_path):
         _, serial_digests = mild_serial

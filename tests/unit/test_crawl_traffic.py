@@ -55,7 +55,10 @@ class TestCrawlTrafficGate:
         "Browser.get": 26768,
         "WebUniverse.handle": 27300,
         "urlsplit": 11923,
-        "derive_seed_int": 24116,
+        # A StreamFamily key derives its seed on its first draw, so the
+        # 19 customers' ASR streams, which never draw here (no transcript
+        # has a confusable word), add nothing.
+        "derive_seed_int": 24097,
     }
 
     def test_crawl_small_counts_match_the_ci_pins(self, monkeypatch, tmp_path):

@@ -334,10 +334,17 @@ class TestRetryPolicy:
 
 class TestStreamFamily:
     def test_keys_are_stringified(self):
+        """``1`` and ``"1"`` name one stream: drawing through either
+        advances the same sequence."""
         family = StreamFamily(Seed(1), "ns")
-        assert family.stream(1) is family.stream("1")
-        assert family.stream("a", 2) is family.stream("a", "2")
-        assert family.stream(1).random() == Seed(1).rng("ns", "1").random()
+        reference = Seed(1).rng("ns", "1")
+        assert [family.random(1), family.random("1"), family.random(1)] == [
+            reference.random() for _ in range(3)
+        ]
+        pair = Seed(1).rng("ns", "a", "2")
+        assert [family.random("a", 2), family.random("a", "2")] == [
+            pair.random() for _ in range(2)
+        ]
 
 
 def test_smallest_messages():

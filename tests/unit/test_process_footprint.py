@@ -13,22 +13,25 @@ never imports after the fork: the parent loads everything a shard body
 needs first.
 
 The crawl's request log and bid records are most of a campaign's heap,
-so the bytes each entry retains are measured and bounded.
+so the bytes each entry retains are measured and bounded.  Per-actor
+random substreams keep a seed and a draw count each, and only a bounded
+pool of generators stays live.
 """
 
 import dataclasses
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro import CampaignSpec, ExperimentConfig
+from repro import CampaignSpec, ExperimentConfig, execute_spec
 from repro.core.parallel import SupervisorPolicy, _ShardSupervisor
-from repro.util.rng import Seed
+from repro.util.rng import POOL_SIZE, Seed, StreamFamily
 
 SRC_DIR = Path(__file__).resolve().parents[2] / "src"
 PLAN = [["a", "b"], ["c"]]
@@ -254,3 +257,36 @@ def test_request_log_and_bids_retain_few_bytes_per_entry():
     entries, freed = map(int, out.split())
     assert entries > 1000
     assert 100 < freed / entries <= MAX_RETAINED_BYTES_PER_ENTRY, (entries, freed)
+
+
+def _generators_held_by(families) -> int:
+    """Distinct ``random.Random`` objects reachable from the families'
+    attributes through dicts, lists and tuples."""
+    found = set()
+    stack = [value for family in families for value in vars(family).values()]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, random.Random):
+            found.add(id(obj))
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+    return len(found)
+
+
+def test_stream_families_hold_at_most_the_pool_of_generators(monkeypatch, tmp_path):
+    """A mild-fault campaign draws from hundreds of (actor, domain)
+    fault streams; the families keep them as seeds and draw counts."""
+    families = []
+    init = StreamFamily.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        families.append(self)
+
+    monkeypatch.setattr(StreamFamily, "__init__", recording_init)
+    config = dataclasses.replace(TINY, fault_profile="mild")
+    execute_spec(CampaignSpec(config=config), tmp_path / "out")
+    assert len(families) > 10
+    assert _generators_held_by(families) <= POOL_SIZE
